@@ -6,7 +6,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+
 #include "bench/bench_util.h"
+#include "views/engine.h"
 
 namespace {
 
@@ -64,6 +68,38 @@ BENCHMARK(BM_Fig1_Pipeline_Nested)
     ->Args({3, 4})
     ->Args({8, 20})
     ->Args({16, 40})
+    ->Unit(benchmark::kMillisecond);
+
+// Materialization alone — the six views over an already-built universe,
+// serial, on the columnar substrate — at two sizes 8x apart in facts. Head
+// writes dominate it, so the size pair shows how the batch absorber scales:
+// CI's release bench smoke asserts time(128/250) <= 15x time(16/250).
+void BM_Fig1_Materialize(benchmark::State& state) {
+  idl::StockWorkload w = MakeWorkload(state.range(0), state.range(1));
+  idl::Value universe = idl::BuildStockUniverse(w);
+  idl::ViewEngine engine;
+  for (const std::string& text : idl::PaperViewRules()) {
+    auto rule = idl::ParseRule(text);
+    IDL_BENCH_CHECK(rule.ok());
+    IDL_BENCH_CHECK(engine.AddRule(std::move(rule).value()).ok());
+  }
+  idl::EvalOptions options;
+  options.materialize_parallelism = 1;
+  options.substrate = idl::EvalSubstrate::kColumnar;
+  for (auto _ : state) {
+    auto m = engine.Materialize(universe, options);
+    IDL_BENCH_CHECK(m.ok());
+    benchmark::DoNotOptimize(m->universe);
+    state.PauseTiming();  // freeing the result is not materialization
+    m = idl::Materialized();
+    state.ResumeTiming();
+  }
+  state.counters["base_facts"] =
+      static_cast<double>(state.range(0) * state.range(1));
+}
+BENCHMARK(BM_Fig1_Materialize)
+    ->Args({16, 250})   // 4 000 base facts
+    ->Args({128, 250})  // 32 000 base facts
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

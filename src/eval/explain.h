@@ -77,7 +77,7 @@ struct StratumStats {
   bool recursive = false;
   uint64_t substitutions = 0;          // body substitutions processed
   uint64_t substitutions_skipped = 0;  // replays avoided vs. naive (estimate)
-  uint64_t delta_facts = 0;            // facts recorded into pass deltas
+  uint64_t delta_facts = 0;            // facts recorded into read deltas
   uint64_t parallel_tasks = 0;         // rule evaluations run on pool threads
   double wall_ms = 0.0;
   // CPU time attributable to this wave: enumeration-task thread CPU (summed

@@ -601,12 +601,7 @@ Result<UpdateRequestResult> Session::UpdateImpl(
 }
 
 bool Session::IsUpdateRequest(const struct Query& query) const {
-  ProgramKey key;
-  for (const auto& conjunct : query.conjuncts) {
-    if (conjunct->HasUpdate()) return true;
-    if (registry_.MatchCall(*conjunct, &key)) return true;
-  }
-  return false;
+  return registry_.IsUpdateRequest(query);
 }
 
 Result<std::vector<Answer>> Session::ExecuteScript(std::string_view script,

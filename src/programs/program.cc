@@ -103,6 +103,28 @@ bool ProgramRegistry::MatchCall(const Expr& conjunct, ProgramKey* key) const {
   return false;
 }
 
+bool ProgramRegistry::IsUpdateRequest(const Query& query) const {
+  ProgramKey key;
+  for (const auto& conjunct : query.conjuncts) {
+    if (conjunct->HasUpdate()) return true;
+    if (MatchCall(*conjunct, &key)) return true;
+  }
+  return false;
+}
+
+ProgramRegistry ProgramRegistry::Clone() const {
+  ProgramRegistry copy;
+  for (const auto& [key, def] : programs_) {
+    ProgramDef& d = copy.programs_[key];
+    d.key = def.key;
+    d.required_params = def.required_params;
+    for (const ProgramClause& clause : def.clauses) {
+      d.clauses.push_back(clause.Clone());
+    }
+  }
+  return copy;
+}
+
 std::vector<ProgramKey> ProgramRegistry::CalledPrograms(
     const ProgramClause& clause) const {
   std::vector<ProgramKey> out;

@@ -57,6 +57,13 @@ class ProgramRegistry {
   // `key` with the longest matching prefix.
   bool MatchCall(const Expr& conjunct, ProgramKey* key) const;
 
+  // True if `query` must run as an update: a conjunct carries an update
+  // marker or calls a registered program.
+  bool IsUpdateRequest(const Query& query) const;
+
+  // A deep copy (clauses own their ASTs, so the registry is move-only).
+  ProgramRegistry Clone() const;
+
   const std::map<ProgramKey, ProgramDef>& programs() const {
     return programs_;
   }

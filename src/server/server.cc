@@ -244,6 +244,8 @@ Result<std::unique_ptr<Server>> Server::Recover(const ServerOptions& options,
     ++rep.replayed_records;
   }
 
+  server->PublishProgramsLocked();
+
   // 3. Reopen the log for appending and republish. A fresh post-reset log
   //    reports next_lsn 1; the snapshot knows better.
   uint64_t next_lsn = std::max(tail.next_lsn, snap.last_lsn + 1);
@@ -379,16 +381,28 @@ Status Server::DefineProgram(std::string_view clause_text) {
   std::lock_guard<std::mutex> lock(session_mu_);
   if (!durability_poison_.ok()) return durability_poison_;
   IDL_RETURN_IF_ERROR(session_.DefineProgram(clause_text));
+  // Programs don't change the universe: no epoch republish, only the
+  // registry readers classify requests against.
+  PublishProgramsLocked();
   IDL_RETURN_IF_ERROR(
       AppendDurable(WalRecordType::kDefineProgram, "", clause_text));
-  // Programs don't change the universe: no republish needed (readers only
-  // consult the registry through the server, never through an epoch).
   return MaybeCheckpointLocked();
 }
 
+void Server::PublishProgramsLocked() {
+  auto programs =
+      std::make_shared<const ProgramRegistry>(session_.programs().Clone());
+  std::lock_guard<std::mutex> lock(epoch_mu_);
+  programs_ = std::move(programs);
+}
+
 bool Server::IsUpdateRequest(const Query& query) const {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  return session_.IsUpdateRequest(query);
+  std::shared_ptr<const ProgramRegistry> programs;
+  {
+    std::lock_guard<std::mutex> lock(epoch_mu_);
+    programs = programs_;
+  }
+  return programs->IsUpdateRequest(query);
 }
 
 Status Server::PublishLocked() {
@@ -423,6 +437,7 @@ Status Server::PublishLocked() {
 }
 
 Status Server::EnsurePublished() {
+  if (CurrentEpoch() != nullptr) return Status::Ok();
   std::lock_guard<std::mutex> lock(session_mu_);
   if (published_ != nullptr) return Status::Ok();
   return PublishLocked();

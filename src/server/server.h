@@ -52,6 +52,7 @@
 #include "eval/query.h"
 #include "idl/session.h"
 #include "object/value.h"
+#include "programs/program.h"
 #include "update/applier.h"
 
 namespace idl {
@@ -231,6 +232,9 @@ class Server {
   // Snapshots the session and publishes the next epoch. Caller must hold
   // session_mu_.
   Status PublishLocked();
+  // Publishes a copy of the session's program registry for readers. Caller
+  // must hold session_mu_.
+  void PublishProgramsLocked();
   // Publishes the first epoch if none exists yet.
   Status EnsurePublished();
   EpochPtr CurrentEpoch() const;
@@ -241,7 +245,9 @@ class Server {
   ServerOptions options_;
 
   // Guards session_ and epoch publication order. Held by the commit thread
-  // while applying, and by setup methods; readers never take it.
+  // while applying, and by setup methods. Readers take it only to publish
+  // the first epoch; after that they read published_ and programs_ under
+  // epoch_mu_ alone.
   mutable std::mutex session_mu_;
   Session session_;
   uint64_t next_epoch_id_ = 1;
@@ -251,9 +257,14 @@ class Server {
   size_t records_since_checkpoint_ = 0;
   Status durability_poison_;
 
-  // Guards only the published_ pointer (swap on publish, copy on pin).
+  // Guards only the published_ and programs_ pointers (swap on publish,
+  // copy on pin or on classifying a request).
   mutable std::mutex epoch_mu_;
   EpochPtr published_;
+  // The update programs readers classify requests against: an immutable
+  // copy of the session's registry, replaced after each DefineProgram.
+  std::shared_ptr<const ProgramRegistry> programs_ =
+      std::make_shared<const ProgramRegistry>();
 
   // The single-writer commit queue. Declared after the state it touches so
   // its destructor (which drains) runs first.

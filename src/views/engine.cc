@@ -5,8 +5,11 @@
 #include <cstddef>
 #include <iterator>
 #include <memory>
+#include <set>
+#include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/str_util.h"
@@ -137,6 +140,16 @@ Counter* AbsorbIndexBuildsCounter() {
       MetricsRegistry::Global().counter("columnar.absorb_index_builds");
   return c;
 }
+Counter* AbsorbCandidatesCounter() {
+  static Counter* c =
+      MetricsRegistry::Global().counter("columnar.absorb_candidates");
+  return c;
+}
+
+// Folds one key field's NormalizedCellHash into a composite absorb key.
+uint64_t CombineKeyHash(uint64_t h, uint64_t cell) {
+  return (h ^ cell) * 0x100000001b3ull + 0x9e3779b97f4a7c15ull;
+}
 
 class HeadWriter {
  public:
@@ -162,50 +175,66 @@ class HeadWriter {
   }
 
  private:
-  // Absorb candidates for one tracked relation set, keyed by one probe
-  // attribute of its flat inner tuple. An element can satisfy the probe
-  // item only if its probe field hash-matches the operand (`by_probe`), is
-  // absent/null (`fillable`), or the element is null outright (`always`) —
-  // everything else fails the scan's flat check at that item, so skipping
+  // Absorb candidates for one tracked relation set, keyed by the key items
+  // of its flat inner tuple: every constrained item with a constant
+  // attribute name. An element can satisfy all key items only if every key
+  // field hash-matches its operand (`by_key`), some key field is absent or
+  // null (`fillable`), or the element is null outright (`always`) —
+  // everything else fails the scan's flat check at a key item, so skipping
   // it cannot change which element absorbs first.
   struct AbsorbIndex {
-    std::string probe_attr;
-    // NormalizedCellHash(probe field) -> element index, non-null atom fields.
-    std::unordered_multimap<uint64_t, uint32_t> by_probe;
-    std::vector<uint32_t> fillable;  // probe field absent or null; ascending
+    std::vector<std::string> key_attrs;  // in head item order
+    // Composite key hash -> element index, for elements whose key fields
+    // are all non-null atoms.
+    std::unordered_multimap<uint64_t, uint32_t> by_key;
+    std::vector<uint32_t> fillable;  // a key field absent or null; ascending
     std::vector<uint32_t> always;    // null elements; ascending
     size_t synced_size = 0;          // set size the lists describe
   };
 
-  static void ClassifyElement(const Value& e, std::string_view attr,
+  static void ClassifyElement(const Value& e,
+                              const std::vector<std::string>& key_attrs,
                               uint32_t i, AbsorbIndex* st) {
     if (e.is_null()) {
-      st->always.push_back(i);
+      InsertAscending(&st->always, i);
       return;
     }
     if (!e.is_tuple()) return;  // an atom/set element never absorbs a tuple
-    const Value* f = e.FindField(attr);
-    if (f == nullptr || f->is_null()) {
-      st->fillable.push_back(i);
-      return;
+    uint64_t key = 0;
+    bool fillable = false;
+    for (const std::string& attr : key_attrs) {
+      const Value* f = e.FindField(attr);
+      if (f == nullptr || f->is_null()) {
+        fillable = true;
+      } else if (!f->is_atom()) {
+        return;  // never equals an atom operand: the flat check rejects it
+      } else {
+        key = CombineKeyHash(key, NormalizedCellHash(*f));
+      }
     }
-    if (f->is_tuple() || f->is_set()) return;  // never equals an atom operand
-    st->by_probe.emplace(NormalizedCellHash(*f), i);
+    if (fillable) {
+      InsertAscending(&st->fillable, i);
+    } else {
+      st->by_key.emplace(key, i);
+    }
   }
 
-  static void RebuildAbsorbIndex(const Value& set, std::string_view attr,
-                                 AbsorbIndex* st) {
+  // Re-classifies every element of `set` under st->key_attrs.
+  static void RebuildAbsorbIndex(const Value& set, AbsorbIndex* st) {
     AbsorbIndexBuildsCounter()->Increment();
-    st->probe_attr.assign(attr);
-    st->by_probe.clear();
+    st->by_key.clear();
     st->fillable.clear();
     st->always.clear();
     const auto& elems = set.elements();
-    st->by_probe.reserve(elems.size());
+    st->by_key.reserve(elems.size());
     for (uint32_t i = 0; i < elems.size(); ++i) {
-      ClassifyElement(elems[i], attr, i, st);
+      ClassifyElement(elems[i], st->key_attrs, i, st);
     }
     st->synced_size = elems.size();
+  }
+
+  static void InsertAscending(std::vector<uint32_t>* v, uint32_t i) {
+    v->insert(std::lower_bound(v->begin(), v->end(), i), i);
   }
 
   static void EraseAscending(std::vector<uint32_t>* v, uint32_t i) {
@@ -369,34 +398,63 @@ class HeadWriter {
         };
 
         // Batch absorb (columnar substrate): probe the absorb index on the
-        // first ground-named constrained item instead of scanning. Candidate
+        // composite key of the key items instead of scanning. Candidate
         // order is ascending, verification is `flat_ok` — scan-identical.
-        int probe_at = -1;
+        auto is_key = [&](size_t k) {
+          return probe[k].constrained && !inner.items[k].attr_is_var;
+        };
+        bool keyed = false;
         if (batch && flat) {
-          for (size_t k = 0; k < probe.size(); ++k) {
-            if (probe[k].constrained && !inner.items[k].attr_is_var) {
-              probe_at = static_cast<int>(k);
-              break;
-            }
+          for (size_t k = 0; k < probe.size() && !keyed; ++k) {
+            keyed = is_key(k);
           }
         }
-        if (probe_at >= 0) {
+        if (keyed) {
           AbsorbBatchedCounter()->Increment();
-          std::string_view pattr = probe[probe_at].attr;
-          const Value& operand = probe[probe_at].operand;
           AbsorbIndex& st = absorb_states_[slot];
-          if (st.probe_attr != pattr || st.synced_size != slot->SetSize()) {
-            RebuildAbsorbIndex(*slot, pattr, &st);
+          // Compare the rule's key names against the index's in place.
+          size_t n = 0;
+          bool same_key = true;
+          for (size_t k = 0; k < probe.size() && same_key; ++k) {
+            if (!is_key(k)) continue;
+            same_key = n < st.key_attrs.size() &&
+                       st.key_attrs[n] == probe[k].attr;
+            ++n;
           }
-          std::vector<uint32_t> bucket;
-          if (!operand.is_null() && !operand.is_tuple() && !operand.is_set()) {
-            auto [lo, hi] = st.by_probe.equal_range(NormalizedCellHash(operand));
-            for (auto it = lo; it != hi; ++it) bucket.push_back(it->second);
-            std::sort(bucket.begin(), bucket.end());
+          const bool rekey = !same_key || n != st.key_attrs.size();
+          if (rekey) {
+            st.key_attrs.clear();
+            for (size_t k = 0; k < probe.size(); ++k) {
+              if (is_key(k)) st.key_attrs.emplace_back(probe[k].attr);
+            }
+          }
+          if (rekey || st.synced_size != slot->SetSize()) {
+            RebuildAbsorbIndex(*slot, &st);
+          }
+          // by_key holds only elements whose key fields are all non-null
+          // atoms; a null or non-atomic operand equals none of them.
+          bucket_.clear();
+          uint64_t key = 0;
+          bool probe_key = true;
+          for (size_t k = 0; k < probe.size() && probe_key; ++k) {
+            if (!is_key(k)) continue;
+            const Value& operand = probe[k].operand;
+            probe_key = operand.is_atom() && !operand.is_null();
+            if (probe_key) {
+              key = CombineKeyHash(key, NormalizedCellHash(operand));
+            }
+          }
+          if (probe_key) {
+            auto [lo, hi] = st.by_key.equal_range(key);
+            for (auto it = lo; it != hi; ++it) bucket_.push_back(it->second);
+            std::sort(bucket_.begin(), bucket_.end());
           }
           enum class Src { kAlways, kFillable, kBucket };
           size_t ia = 0, ib = 0, ic = 0;
-          while (true) {
+          uint64_t verified = 0;
+          uint32_t pick = UINT32_MAX;
+          Src pick_src = Src::kAlways;
+          while (pick == UINT32_MAX) {
             uint32_t i = UINT32_MAX;
             Src src = Src::kAlways;
             if (ia < st.always.size()) {
@@ -406,8 +464,8 @@ class HeadWriter {
               i = st.fillable[ib];
               src = Src::kFillable;
             }
-            if (ic < bucket.size() && bucket[ic] < i) {
-              i = bucket[ic];
+            if (ic < bucket_.size() && bucket_[ic] < i) {
+              i = bucket_[ic];
               src = Src::kBucket;
             }
             if (i == UINT32_MAX) break;
@@ -416,9 +474,16 @@ class HeadWriter {
               case Src::kFillable: ++ib; break;
               case Src::kBucket: ++ic; break;
             }
-            if (!flat_ok(slot->elements()[i])) continue;
+            ++verified;
+            if (flat_ok(slot->elements()[i])) {
+              pick = i;
+              pick_src = src;
+            }
+          }
+          AbsorbCandidatesCounter()->Increment(verified);
+          if (pick != UINT32_MAX) {
             bool changed = false, removed_dup = false;
-            IDL_RETURN_IF_ERROR(absorb_into(i, &changed, &removed_dup));
+            IDL_RETURN_IF_ERROR(absorb_into(pick, &changed, &removed_dup));
             if (!changed) return Status::Ok();
             if (removed_dup) {
               // Indices past the removed duplicate shifted; the size check
@@ -426,15 +491,14 @@ class HeadWriter {
               st.synced_size = 0;
               return Status::Ok();
             }
-            // Reclassify i: a bucket hit's probe field already equaled the
-            // operand, so the absorb left it (and its hash entry) alone.
-            if (src != Src::kBucket) {
-              if (src == Src::kAlways) {
-                EraseAscending(&st.always, i);
-              } else {
-                EraseAscending(&st.fillable, i);
-              }
-              ClassifyElement(slot->elements()[i], pattr, i, &st);
+            // Reclassify the pick: a bucket hit's key fields already equaled
+            // their operands, so the absorb left them (and its hash entry)
+            // alone.
+            if (pick_src != Src::kBucket) {
+              EraseAscending(
+                  pick_src == Src::kAlways ? &st.always : &st.fillable, pick);
+              ClassifyElement(slot->elements()[pick], st.key_attrs, pick,
+                              &st);
             }
             return Status::Ok();
           }
@@ -443,7 +507,7 @@ class HeadWriter {
           }
           slot->Insert(std::move(candidate));
           ++out_->changes;
-          ClassifyElement(slot->elements()[slot->SetSize() - 1], pattr,
+          ClassifyElement(slot->elements()[slot->SetSize() - 1], st.key_attrs,
                           static_cast<uint32_t>(slot->SetSize() - 1), &st);
           st.synced_size = slot->SetSize();
           return Status::Ok();
@@ -486,9 +550,43 @@ class HeadWriter {
 
   Materialized* out_;
   bool batch_enabled_ = false;
+  // Scratch for one batched absorb's key bucket, reused across facts. Safe
+  // because the batch path recurses only into flat elements, which never
+  // reach a set case.
+  std::vector<uint32_t> bucket_;
   // Keyed by set address; entries are valid only while head-path structure
   // is stable — any armed structural edit clears the map (see MakeTrueImpl).
   std::unordered_map<const Value*, AbsorbIndex> absorb_states_;
+};
+
+// The distinct "db[.rel]" paths a run's head writes landed in. A path
+// already recorded costs one lookup and no allocation: Add builds each path
+// in a reused buffer.
+class WrittenPaths {
+ public:
+  Status Add(const Rule& rule, const Substitution& sigma) {
+    const TupleItem& db_item = rule.head->items[0];
+    IDL_ASSIGN_OR_RETURN(std::string_view db, GroundName(db_item, sigma));
+    scratch_.assign(db);
+    if (db_item.expr != nullptr && db_item.expr->kind == Expr::Kind::kTuple &&
+        !db_item.expr->items.empty()) {
+      IDL_ASSIGN_OR_RETURN(std::string_view rel,
+                           GroundName(db_item.expr->items[0], sigma));
+      scratch_ += '.';
+      scratch_ += rel;
+    }
+    paths_.insert(scratch_);
+    return Status::Ok();
+  }
+
+  // Sorted and unique.
+  std::vector<std::string> Sorted() const {
+    return std::vector<std::string>(paths_.begin(), paths_.end());
+  }
+
+ private:
+  std::set<std::string> paths_;
+  std::string scratch_;
 };
 
 // Records a processed body substitution: derived-path bookkeeping plus the
@@ -496,24 +594,14 @@ class HeadWriter {
 // derivation step plus one cell per universe change the head write makes.
 Status ProcessSubstitution(const Rule& rule, const Substitution& sigma,
                            HeadWriter* writer, Materialized* m,
-                           std::vector<std::string>* derived, Value* delta,
+                           WrittenPaths* derived, Value* delta,
                            const ResourceGovernor* governor) {
   if (governor != nullptr) {
     IDL_RETURN_IF_ERROR(governor->ChargeDerivations(1));
   }
   const uint64_t changes_before = m->changes;
   ++m->facts_derived;
-  const TupleItem& db_item = rule.head->items[0];
-  IDL_ASSIGN_OR_RETURN(std::string_view db, GroundName(db_item, sigma));
-  std::string path(db);
-  if (db_item.expr != nullptr && db_item.expr->kind == Expr::Kind::kTuple &&
-      !db_item.expr->items.empty()) {
-    IDL_ASSIGN_OR_RETURN(std::string_view rel,
-                         GroundName(db_item.expr->items[0], sigma));
-    path += ".";
-    path += rel;
-  }
-  derived->push_back(std::move(path));
+  IDL_RETURN_IF_ERROR(derived->Add(rule, sigma));
 
   Status st = writer->MakeTrue(&m->universe, *rule.head, sigma, delta);
   if (!st.ok()) {
@@ -535,10 +623,14 @@ Status ChargeBaseCells(const Value& base, const ResourceGovernor* governor) {
   return governor->ChargeCells(CountCells(base));
 }
 
-void FinishDerivedPaths(std::vector<std::string> derived, Materialized* m) {
-  std::sort(derived.begin(), derived.end());
-  derived.erase(std::unique(derived.begin(), derived.end()), derived.end());
-  m->derived_paths = std::move(derived);
+// Every path any level wrote, sorted and unique.
+std::vector<std::string> UnionOfLevels(
+    const std::vector<std::vector<std::string>>& level_written) {
+  std::set<std::string> all;
+  for (const auto& written : level_written) {
+    all.insert(written.begin(), written.end());
+  }
+  return std::vector<std::string>(all.begin(), all.end());
 }
 
 // ---- kNaive: the original strategy, kept verbatim as the test oracle -------
@@ -562,7 +654,7 @@ Result<Materialized> MaterializeNaive(const std::vector<Rule>& rules,
     by_stratum[strat.stratum[i]].push_back(i);
   }
 
-  std::vector<std::string> derived;
+  WrittenPaths derived;
   HeadWriter writer(&m);
   EvalStats run_stats;  // this run only; merged into *stats at the end
 
@@ -636,7 +728,7 @@ Result<Materialized> MaterializeNaive(const std::vector<Rule>& rules,
     m.stratum_stats.push_back(row);
   }
 
-  FinishDerivedPaths(std::move(derived), &m);
+  m.derived_paths = derived.Sorted();
   m.wall_ms = MsSince(mat_start);
   if (stats != nullptr) *stats += run_stats;
   BumpEngineMetrics(m, run_stats);
@@ -664,8 +756,7 @@ struct SemiNaiveContext {
   std::unique_ptr<ThreadPool> pool;
   std::vector<std::unique_ptr<SetIndexCache>> caches;
   uint64_t generation = 1;
-  EvalStats mat_stats;               // this run only (merged by the caller)
-  std::vector<std::string> derived;  // path per processed substitution
+  EvalStats mat_stats;  // this run only (merged by the caller)
   Materialized* m = nullptr;
 };
 
@@ -705,16 +796,6 @@ Status InitSemiNaive(const std::vector<Rule>& rules,
   return Status::Ok();
 }
 
-// The new-slice of ctx->derived since `from`, sorted and deduplicated.
-std::vector<std::string> SortedUniqueSlice(const std::vector<std::string>& v,
-                                           size_t from) {
-  std::vector<std::string> out(v.begin() + static_cast<ptrdiff_t>(from),
-                               v.end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 // Merges sorted-unique `add` into sorted-unique `*into`.
 void MergeSortedUnique(std::vector<std::string>* into,
                        const std::vector<std::string>& add) {
@@ -739,11 +820,16 @@ void MergeSortedUnique(std::vector<std::string>* into,
 //
 // When `accumulate` is non-null every fact the wave derives is also merged
 // into it, so a maintenance caller can seed the next level with this one's
-// output.
+// output. A wave that neither recurses nor accumulates records no delta:
+// nothing would read it.
+//
+// `*written` receives the "db[.rel]" paths the wave's facts were written
+// under, sorted and unique.
 Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
                                   const Value* seed,
                                   const std::vector<RelRef>* seed_refs,
-                                  Value* accumulate) {
+                                  Value* accumulate,
+                                  std::vector<std::string>* written) {
   const std::vector<Rule>& rules = *ctx->rules;
   const std::vector<size_t>& level_rules = ctx->by_level[level];
   const bool recursive = ctx->strat.level_recursive[level];
@@ -769,6 +855,8 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
     row.rule_timings[k].head = ctx->heads[level_rules[k]].ToString();
   }
   uint64_t delta_before_level = m.delta_size;
+  const bool delta_read = recursive || accumulate != nullptr;
+  WrittenPaths paths;
 
   // Body positions eligible for delta restriction: positive universe
   // readers that may overlap a head defined in this level — or, in seeded
@@ -912,10 +1000,12 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
     }
 
     // ---- write phase: sequential, in rule order, so results do not
-    // depend on thread count. Changes are recorded into the next delta.
+    // depend on thread count. Changes are recorded into the next delta
+    // when something reads it.
     TraceSpan write_span("write");
     int64_t write_cpu_start = ThreadCpuNs();
     Value next_delta;
+    Value* record_delta = delta_read ? &next_delta : nullptr;
     uint64_t changes_before = m.changes;
     for (size_t t = 0; t < active.size(); ++t) {
       if (governor != nullptr) IDL_RETURN_IF_ERROR(governor->Checkpoint());
@@ -934,7 +1024,7 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
       cumulative[k] += results[t].sigmas.size();
       for (const auto& sigma : results[t].sigmas) {
         IDL_RETURN_IF_ERROR(ProcessSubstitution(rule, sigma, &writer, &m,
-                                                &ctx->derived, &next_delta,
+                                                &paths, record_delta,
                                                 governor));
       }
       timing.write_ms += MsSince(write_start);
@@ -954,6 +1044,7 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
 
   row.delta_facts = m.delta_size - delta_before_level;
   row.wall_ms = MsSince(start);
+  *written = paths.Sorted();
   return row;
 }
 
@@ -975,11 +1066,9 @@ Result<Materialized> MaterializeSemiNaive(const std::vector<Rule>& rules,
 
   for (int level = 0; level < static_cast<int>(ctx.by_level.size());
        ++level) {
-    size_t derived_before = ctx.derived.size();
     IDL_ASSIGN_OR_RETURN(
         StratumStats row, RunLevelWave(&ctx, level, nullptr, nullptr,
-                                       nullptr));
-    m.level_written[level] = SortedUniqueSlice(ctx.derived, derived_before);
+                                       nullptr, &m.level_written[level]));
     m.substitutions_skipped += row.substitutions_skipped;
     m.parallel_tasks += row.parallel_tasks;
     m.cpu_ms += row.cpu_ms;
@@ -988,7 +1077,7 @@ Result<Materialized> MaterializeSemiNaive(const std::vector<Rule>& rules,
 
   m.indexes_reused = ctx.mat_stats.indexes_reused;
   if (stats != nullptr) *stats += ctx.mat_stats;
-  FinishDerivedPaths(std::move(ctx.derived), &m);
+  m.derived_paths = UnionOfLevels(m.level_written);
   m.wall_ms = MsSince(mat_start);
   BumpEngineMetrics(m, ctx.mat_stats);
   return m;
@@ -1191,15 +1280,13 @@ Status ApplyInsertions(SemiNaiveContext* ctx, const Value& inserted_tree,
       ++m.maintenance.strata_skipped;
       continue;
     }
-    size_t derived_before = ctx->derived.size();
+    std::vector<std::string> new_paths;
     IDL_ASSIGN_OR_RETURN(
         StratumStats row,
-        RunLevelWave(ctx, static_cast<int>(level), &seed, &seed_refs,
-                     &seed));
+        RunLevelWave(ctx, static_cast<int>(level), &seed, &seed_refs, &seed,
+                     &new_paths));
     m.maintenance.rederived += row.substitutions;
     ++m.maintenance.strata_rederived;
-    std::vector<std::string> new_paths =
-        SortedUniqueSlice(ctx->derived, derived_before);
     for (const auto& path : new_paths) seed_refs.push_back(PathToRef(path));
     MergeSortedUnique(&m.level_written[level], new_paths);
     MergeSortedUnique(&m.derived_paths, new_paths);
@@ -1259,24 +1346,18 @@ Status DeleteAndRederive(SemiNaiveContext* ctx, const Value& base_after,
       ++m.maintenance.strata_skipped;
       continue;
     }
-    size_t derived_before = ctx->derived.size();
     IDL_ASSIGN_OR_RETURN(
         StratumStats row,
-        RunLevelWave(ctx, static_cast<int>(level), nullptr, nullptr,
-                     nullptr));
+        RunLevelWave(ctx, static_cast<int>(level), nullptr, nullptr, nullptr,
+                     &m.level_written[level]));
     m.maintenance.rederived += row.substitutions;
     ++m.maintenance.strata_rederived;
-    m.level_written[level] = SortedUniqueSlice(ctx->derived, derived_before);
     for (const auto& path : m.level_written[level]) {
       dirty.push_back(PathToRef(path));
     }
   }
 
-  std::vector<std::string> all;
-  for (const auto& written : m.level_written) {
-    all.insert(all.end(), written.begin(), written.end());
-  }
-  FinishDerivedPaths(std::move(all), &m);
+  m.derived_paths = UnionOfLevels(m.level_written);
   return Status::Ok();
 }
 

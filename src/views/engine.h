@@ -23,9 +23,11 @@
 //    first enumerates all rule bodies read-only — concurrently on a thread
 //    pool when materialize_parallelism allows — then writes all heads
 //    sequentially in rule order, recording every change into a *delta
-//    universe*. Passes after the first replace, one at a time, each body
-//    conjunct that may read this level's heads with the delta universe, so
-//    only substitutions touching a newly derived fact are re-derived.
+//    universe* when a later pass or level reads it (a non-recursive level
+//    of a full run records none). Passes after the first replace, one at a
+//    time, each body conjunct that may read this level's heads with the
+//    delta universe, so only substitutions touching a newly derived fact
+//    are re-derived.
 //    Per-worker SetIndexCaches persist across rules and passes, invalidated
 //    by a universe generation counter bumped on change (eval/index.h).
 //
@@ -68,7 +70,7 @@ struct Materialized {
   int fixpoint_passes = 0;     // total rule-evaluation passes across strata
 
   // Semi-naive observability (all zero under kNaive except stratum_stats).
-  uint64_t delta_size = 0;             // facts recorded into pass deltas
+  uint64_t delta_size = 0;             // facts recorded into read deltas
   uint64_t substitutions_skipped = 0;  // replays avoided vs naive (estimate)
   uint64_t indexes_reused = 0;         // index probes served without a build
   uint64_t parallel_tasks = 0;         // rule evaluations run on pool threads

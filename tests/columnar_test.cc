@@ -8,7 +8,9 @@
 //  - ProbeEq agreeing with the Filter scan kernel on every operand;
 //  - Value::RehashElement matching RehashSet's dedup semantics;
 //  - epoch page sharing in ColumnarStore::Build;
-//  - zero non-flat fallbacks when the queried relations are flat.
+//  - zero non-flat fallbacks when the queried relations are flat;
+//  - the batch absorber verifying at most one candidate per absorb on the
+//    paper's views, whatever the stock count.
 
 #include "relational/columnar.h"
 
@@ -24,7 +26,10 @@
 #include "object/date.h"
 #include "object/value.h"
 #include "syntax/parser.h"
+#include "views/engine.h"
 #include "workload/discrepancy_gen.h"
+#include "workload/paper_universe.h"
+#include "workload/stock_gen.h"
 
 namespace idl {
 namespace {
@@ -384,6 +389,41 @@ TEST(ColumnarFallbacks, FlatRelationsNeverFallBack) {
   auto again = EvaluateQuery(universe, *query, nested, nullptr, nullptr);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(activations->value(), activations_mid);
+}
+
+// The absorb key spans every constrained, constant-named head attribute,
+// so a derived fact verifies at most one candidate element on the paper's
+// views: none for dbI.p, dbE.r and dbO.S, whose facts never match an
+// existing row on all keys, and the date's row for dbC.r. A key on `date`
+// alone verified every row of the fact's date, a count that grows with the
+// number of stocks.
+TEST(ColumnarAbsorb, OneCandidatePerAbsorbAtAnyStockCount) {
+  ViewEngine engine;
+  for (const std::string& text : PaperViewRules()) {
+    auto rule = ParseRule(text);
+    ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+    ASSERT_TRUE(engine.AddRule(std::move(rule).value()).ok());
+  }
+  Counter* absorbs =
+      MetricsRegistry::Global().counter("columnar.absorb_batched");
+  Counter* candidates =
+      MetricsRegistry::Global().counter("columnar.absorb_candidates");
+  for (size_t stocks : {16, 64}) {
+    Value universe = BuildStockUniverse(GenerateStockWorkload(
+        {.num_stocks = stocks, .num_days = 40, .seed = 42}));
+    const uint64_t absorbs_before = absorbs->value();
+    const uint64_t candidates_before = candidates->value();
+    EvalOptions options;  // substrate defaults to kColumnar
+    options.materialize_parallelism = 1;
+    auto m = engine.Materialize(universe, options);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    const uint64_t n = absorbs->value() - absorbs_before;
+    const uint64_t verified = candidates->value() - candidates_before;
+    EXPECT_GT(n, 0u) << stocks << " stocks";
+    EXPECT_GT(verified, 0u) << stocks << " stocks";  // dbC.r's date rows
+    EXPECT_LE(verified, n) << stocks << " stocks: " << verified
+                           << " candidates over " << n << " absorbs";
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "eval/query.h"
+#include "object/value_io.h"
 #include "syntax/parser.h"
 #include "views/engine.h"
 #include "workload/paper_universe.h"
@@ -128,6 +129,59 @@ TEST(DifferentialEngine, DiscrepancyAndReconciliation) {
       ".dbI.p!(.date=D, .stk=S, .clsPrice<P)");
   ViewEngine engine = BuildEngine(rules);
   ExpectStrategiesAgree(engine, paper.universe, "discrepancy + pnew");
+}
+
+// The batch absorber keys a head relation on all of its constrained,
+// constant-named attributes together. Each universe below seeds the head
+// relation `db.p` with rows that fall outside the plain keyed bucket — a
+// key field absent, null, a Real where the fact carries an Int, a tuple,
+// a null element, rows with attributes the rules never write — and feeds it
+// facts that include §6's discrepancy (one date and stock, two prices). The
+// columnar absorber must pick exactly the element the nested scan picks.
+TEST(DifferentialEngine, CompositeAbsorbKeyEdgeRows) {
+  const std::vector<std::string> head_rows = {
+      "(date: 1, stk: a)",                       // key field absent
+      "(date: 1, stk: b, clsPrice: null)",       // key field null
+      "(date: 2, stk: a, clsPrice: 5.0)",        // Real 5.0 vs Int 5
+      "(date: (y: 2), stk: a, clsPrice: 5)",     // key field holds a tuple
+      "null",                                    // null element
+      "(date: 3, stk: c, clsPrice: 7, note: x)", // extra attribute
+      "(date: 3, stk: d, note: y)",              // extra + absent key field
+  };
+  const std::string src =
+      "{(date: 1, stk: a, px: 10), (date: 1, stk: b, px: 20),"
+      " (date: 2, stk: a, px: 5), (date: 2, stk: a, px: 6),"
+      " (date: 3, stk: c, px: 7), (date: 3, stk: d, px: 8),"
+      " (date: 4, stk: e, px: null), (date: 4, stk: f, px: 9.5),"
+      " (date: (y: 2), stk: g, px: 1)}";
+  const std::vector<std::vector<std::string>> rule_sets = {
+      // Writes into the base relation, keyed on (date, stk, clsPrice).
+      {".db.p(.date=D, .stk=S, .clsPrice=P) <- .db.src(.date=D, .stk=S, "
+       ".px=P)"},
+      // Two rules with different key sets alternate on one relation.
+      {".db.p(.date=D, .stk=S) <- .db.src(.date=D, .stk=S)",
+       ".db.p(.date=D, .stk=S, .clsPrice=P) <- .db.src(.date=D, .stk=S, "
+       ".px=P)"},
+      // chwab's shape: keyed on `date` only, one attribute per stock.
+      {".db.p(.date=D, .S=P) <- .db.src(.date=D, .stk=S, .px=P)"},
+  };
+  // No head rows, then every rotation of them: each edge row is met both
+  // as the first candidate and behind the others.
+  for (size_t start = 0; start <= head_rows.size(); ++start) {
+    std::string p = "{";
+    for (size_t i = 0; start > 0 && i < head_rows.size(); ++i) {
+      if (i > 0) p += ", ";
+      p += head_rows[(start + i) % head_rows.size()];
+    }
+    p += "}";
+    auto universe = ParseValue("(db: (src: " + src + ", p: " + p + "))");
+    ASSERT_TRUE(universe.ok()) << universe.status().ToString();
+    for (size_t r = 0; r < rule_sets.size(); ++r) {
+      ExpectStrategiesAgree(BuildEngine(rule_sets[r]), *universe,
+                            "head rows " + p + ", rule set " +
+                                std::to_string(r));
+    }
+  }
 }
 
 // Transitive closure over a chain: the classic workload where semi-naive

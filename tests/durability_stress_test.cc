@@ -9,8 +9,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <mutex>
 #include <set>
 #include <string>
@@ -158,6 +161,91 @@ TEST(DurabilityStress, ShutdownRacesDurableBacklog) {
   // Every acknowledged commit survived; nothing unacknowledged appeared.
   EXPECT_EQ(answer->rows.size(), acked.size())
       << "acked=" << acked.size() << " rejected=" << rejected.load();
+}
+
+// Readers never wait for the writer: while a commit is held inside its WAL
+// append (the crash hook blocks there, then lets it go on uncrashed), a
+// reader on another session still refreshes, queries, and has a program
+// call classified as an update.
+TEST(DurabilityStress, ReadersProceedWhileCommitIsHeld) {
+  TempDir dir;
+  std::mutex hook_mu;
+  std::condition_variable hook_cv;
+  bool armed = false, held = false, released = false;
+  ServerOptions options;
+  options.durability.dir = dir.path();
+  options.durability.crash_hook = [&](CrashPoint point) {
+    std::unique_lock<std::mutex> lock(hook_mu);
+    if (!armed || point != CrashPoint::kBeforeAppend) return false;
+    armed = false;
+    held = true;
+    hook_cv.notify_all();
+    hook_cv.wait(lock, [&] { return released; });
+    return false;
+  };
+  auto server = Server::Create(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE(
+      (*server)->RegisterDatabase("db", *ParseValue("(r: {(k: seed, v: 0)})"))
+          .ok());
+  ASSERT_TRUE((*server)
+                  ->DefineRule(".view.big(.k=K, .v=V) <- .db.r(.k=K, .v=V)")
+                  .ok());
+  ASSERT_TRUE(
+      (*server)->DefineProgram(".db.add(.k=K) -> .db.r+(.k=K, .v=1)").ok());
+  auto reader = (*server)->Connect();
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const uint64_t before = reader->epoch_id();
+
+  {
+    std::lock_guard<std::mutex> lock(hook_mu);
+    armed = true;
+  }
+  Result<CommitResult> committed = Internal("not run");
+  std::thread writer(
+      [&] { committed = (*server)->Commit("?.db.r+(.k=held, .v=2)"); });
+  bool reached = false;
+  {
+    std::unique_lock<std::mutex> lock(hook_mu);
+    reached = hook_cv.wait_for(lock, std::chrono::seconds(20),
+                               [&] { return held; });
+  }
+  struct Read {
+    Status refreshed = Internal("not run");
+    Result<Answer> rows = Internal("not run");
+    Result<Answer> call = Internal("not run");
+  };
+  std::future<Read> read = std::async(std::launch::async, [&] {
+    Read r;
+    r.refreshed = reader->Refresh();
+    r.rows = reader->Query("?.view.big(.k=K, .v=V)");
+    r.call = reader->Query("?.db.add(.k=x)");
+    return r;
+  });
+  const bool finished =
+      read.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(hook_mu);
+    released = true;
+  }
+  hook_cv.notify_all();
+  writer.join();
+  Read r = read.get();
+  ASSERT_TRUE(reached) << "the commit never reached its WAL append";
+  ASSERT_TRUE(finished) << "a reader waited for the held commit";
+
+  ASSERT_TRUE(r.refreshed.ok()) << r.refreshed.ToString();
+  EXPECT_EQ(reader->epoch_id(), before);  // the held commit is unpublished
+  ASSERT_TRUE(r.rows.ok()) << r.rows.status().ToString();
+  EXPECT_EQ(r.rows->rows.size(), 1u);
+  EXPECT_EQ(r.call.status().code(), StatusCode::kInvalidArgument)
+      << r.call.status().ToString();
+
+  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+  ASSERT_TRUE(reader->Refresh().ok());
+  auto after = reader->Query("?.view.big(.k=K, .v=V)");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->rows.size(), 2u);
 }
 
 }  // namespace
