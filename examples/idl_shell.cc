@@ -13,11 +13,6 @@
 //                                           after every update
 //   --substrate={columnar,nested}           evaluation substrate (columnar
 //                                           kernels vs tuple-at-a-time oracle)
-//   --planner={written,cost}                conjunct-ordering planner
-//                                           (written-order oracle vs
-//                                           cost-based reordering +
-//                                           higher-order specialization;
-//                                           answers identical — docs/PLANNER.md)
 //   --site-latency-ms=N                     host the paper databases on
 //                                           simulated remote sites with N ms
 //                                           of request latency (federated
@@ -44,20 +39,25 @@
 // exhausted` and leaves the universe untouched. A script can pin its own
 // pass budget with a `% max-passes: N` directive (used when the flag is not
 // given) — see examples/scripts/governor_divergent.idl, which diverges by
-// design and relies on its directive to terminate.
+// design and relies on its directive to terminate. Numeric flags and the
+// directive take a plain decimal integer; anything else (trailing
+// characters, a value out of range) is rejected with exit status 1.
 //
 // Scripts are ';'-separated statements: rules (head <- body), update
 // programs (head -> body), queries and update requests (?...). The shell
 // preloads the paper's three stock databases so scripts have something to
 // talk to. Query answers print as tables.
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "idl/idl.h"
@@ -84,23 +84,46 @@ constexpr char kDemoScript[] = R"(
 // How (and whether) the run's trace is surfaced after the transcript.
 enum class TraceMode { kOff, kText, kJson };
 
+// Reads `--name=N` into `*out`. N must be a whole decimal integer in
+// [lo, hi]: std::from_chars rejects a sign or space it does not take, and
+// trailing characters or an out-of-range value are rejected here. Prints
+// why and returns false otherwise.
+template <typename T>
+bool ParseIntegerFlag(const std::string& arg, std::string_view name, T lo,
+                      T hi, T* out) {
+  std::string_view text = std::string_view(arg).substr(name.size() + 1);
+  const char* end = text.data() + text.size();
+  T value{};
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    std::printf("%s wants an integer in [%s, %s], got '%s'\n",
+                std::string(name).c_str(), std::to_string(lo).c_str(),
+                std::to_string(hi).c_str(), std::string(text).c_str());
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 // Applies a script's directives to options the flags left unset, so demo
 // scripts behave the same when run bare: `% max-passes: N` (divergent
 // scripts terminate), `% maintenance: {incremental,rematerialize}` (a
 // script can pin how its view cache is kept current) and
 // `% trace: {text,json}` (the script asks for its own trace; timings are
 // masked so the transcript stays reproducible — tests/golden pins it).
-void ApplyScriptDirectives(const std::string& script,
+// Returns false, having printed why, when `% max-passes:` is malformed.
+bool ApplyScriptDirectives(const std::string& script,
                            idl::EvalOptions* request_options,
                            idl::EvalOptions* materialize_options,
                            bool maintenance_flag_given,
-                           bool substrate_flag_given,
-                           bool planner_flag_given) {
-  const std::string directive = "% max-passes:";
-  size_t at = script.find(directive);
-  if (at != std::string::npos && request_options->max_passes == 0) {
-    request_options->max_passes =
-        std::atoi(script.c_str() + at + directive.size());
+                           bool substrate_flag_given) {
+  if (request_options->max_passes == 0) {
+    idl::Result<int> passes = idl::MaxPassesDirective(script);
+    if (!passes.ok()) {
+      std::printf("bad directive: %s\n", passes.status().ToString().c_str());
+      return false;
+    }
+    request_options->max_passes = *passes;
   }
   if (!maintenance_flag_given) {
     if (script.find("% maintenance: rematerialize") != std::string::npos) {
@@ -123,18 +146,7 @@ void ApplyScriptDirectives(const std::string& script,
       materialize_options->substrate = idl::EvalSubstrate::kColumnar;
     }
   }
-  // `% planner: cost` opts a script into cost-based conjunct ordering
-  // (docs/PLANNER.md); answers are byte-identical to written order by
-  // construction, so like `% substrate:` this is a perf/differential knob.
-  if (!planner_flag_given) {
-    if (script.find("% planner: cost") != std::string::npos) {
-      request_options->planner = idl::PlannerMode::kCostBased;
-      materialize_options->planner = idl::PlannerMode::kCostBased;
-    } else if (script.find("% planner: written") != std::string::npos) {
-      request_options->planner = idl::PlannerMode::kWrittenOrder;
-      materialize_options->planner = idl::PlannerMode::kWrittenOrder;
-    }
-  }
+  return true;
 }
 
 // The three observability sections appended after a traced run: the span
@@ -243,13 +255,6 @@ argument a built-in demo runs; '-' reads from stdin.
                         tuple-at-a-time oracle. Answers are identical by
                         construction; a script's '% substrate: S' directive
                         applies when this flag is not given
-  --planner={written,cost}
-                        conjunct-ordering planner (docs/PLANNER.md): written
-                        order (default, the oracle) or cost-based join
-                        reordering with higher-order specialization. Answers
-                        are byte-identical by construction; a script's
-                        '% planner: P' directive applies when this flag is
-                        not given
   --site-latency-ms=N   host the databases on simulated remote sites with
                         N ms request latency (0 = direct, the default)
   --deadline-ms=N       wall-clock budget per statement
@@ -299,11 +304,11 @@ that exceeds one aborts cleanly and leaves the universe untouched.
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   idl::EvalOptions eval_options;
   idl::EvalOptions request_options;
   bool maintenance_flag_given = false;
   bool substrate_flag_given = false;
-  bool planner_flag_given = false;
   TraceMode trace_mode = TraceMode::kOff;
   bool trace_flag_given = false;
   int site_latency_ms = 0;
@@ -322,7 +327,6 @@ int main(int argc, char** argv) {
           arg.rfind("--strategy=", 0) == 0 ||
           arg.rfind("--maintenance=", 0) == 0 ||
           arg.rfind("--substrate=", 0) == 0 ||
-          arg.rfind("--planner=", 0) == 0 ||
           arg.rfind("--site-latency-ms=", 0) == 0 ||
           arg.rfind("--deadline-ms=", 0) == 0 ||
           arg.rfind("--max-passes=", 0) == 0 ||
@@ -382,50 +386,27 @@ int main(int argc, char** argv) {
         return 1;
       }
       substrate_flag_given = true;
-    } else if (arg.rfind("--planner=", 0) == 0) {
-      std::string planner = arg.substr(std::string("--planner=").size());
-      if (planner == "written") {
-        eval_options.planner = idl::PlannerMode::kWrittenOrder;
-        request_options.planner = idl::PlannerMode::kWrittenOrder;
-      } else if (planner == "cost") {
-        eval_options.planner = idl::PlannerMode::kCostBased;
-        request_options.planner = idl::PlannerMode::kCostBased;
-      } else {
-        std::printf("unknown --planner '%s' (want written or cost)\n",
-                    planner.c_str());
-        return 1;
-      }
-      planner_flag_given = true;
     } else if (arg.rfind("--site-latency-ms=", 0) == 0) {
-      site_latency_ms =
-          std::atoi(arg.substr(std::string("--site-latency-ms=").size())
-                        .c_str());
-      if (site_latency_ms < 0) {
-        std::printf("--site-latency-ms must be >= 0\n");
+      if (!ParseIntegerFlag(arg, "--site-latency-ms", 0, kIntMax,
+                            &site_latency_ms)) {
         return 1;
       }
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      request_options.deadline_ms =
-          std::atoi(arg.substr(std::string("--deadline-ms=").size()).c_str());
-      if (request_options.deadline_ms < 0) {
-        std::printf("--deadline-ms must be >= 0\n");
+      if (!ParseIntegerFlag(arg, "--deadline-ms", 0, kIntMax,
+                            &request_options.deadline_ms)) {
         return 1;
       }
     } else if (arg.rfind("--max-passes=", 0) == 0) {
-      request_options.max_passes =
-          std::atoi(arg.substr(std::string("--max-passes=").size()).c_str());
-      if (request_options.max_passes < 0) {
-        std::printf("--max-passes must be >= 0\n");
+      if (!ParseIntegerFlag(arg, "--max-passes", 0, kIntMax,
+                            &request_options.max_passes)) {
         return 1;
       }
     } else if (arg.rfind("--max-derivations=", 0) == 0) {
-      long long n = std::atoll(
-          arg.substr(std::string("--max-derivations=").size()).c_str());
-      if (n < 0) {
-        std::printf("--max-derivations must be >= 0\n");
+      if (!ParseIntegerFlag(arg, "--max-derivations", uint64_t{0},
+                            std::numeric_limits<uint64_t>::max(),
+                            &request_options.max_derivations)) {
         return 1;
       }
-      request_options.max_derivations = static_cast<uint64_t>(n);
     } else if (arg.rfind("--workload=", 0) == 0) {
       workload_spec = arg.substr(std::string("--workload=").size());
       if (workload_spec.empty()) {
@@ -433,10 +414,8 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (arg.rfind("--server-sessions=", 0) == 0) {
-      server_sessions = std::atoi(
-          arg.substr(std::string("--server-sessions=").size()).c_str());
-      if (server_sessions <= 0) {
-        std::printf("--server-sessions must be >= 1\n");
+      if (!ParseIntegerFlag(arg, "--server-sessions", 1, kIntMax,
+                            &server_sessions)) {
         return 1;
       }
       server_flag_given = true;
@@ -503,9 +482,10 @@ int main(int argc, char** argv) {
           "--server-sessions\n");
       return 1;
     }
-    ApplyScriptDirectives(script, &request_options, &eval_options,
-                          maintenance_flag_given, substrate_flag_given,
-                          planner_flag_given);
+    if (!ApplyScriptDirectives(script, &request_options, &eval_options,
+                               maintenance_flag_given, substrate_flag_given)) {
+      return 1;
+    }
     auto spec = idl::ParseDurableScriptSpec(script);
     if (!spec.ok()) {
       std::printf("bad wal directive: %s\n", spec.status().ToString().c_str());
@@ -556,9 +536,10 @@ int main(int argc, char** argv) {
       std::printf("--server-sessions is incompatible with --trace\n");
       return 1;
     }
-    ApplyScriptDirectives(script, &request_options, &eval_options,
-                          maintenance_flag_given, substrate_flag_given,
-                          planner_flag_given);
+    if (!ApplyScriptDirectives(script, &request_options, &eval_options,
+                               maintenance_flag_given, substrate_flag_given)) {
+      return 1;
+    }
     idl::ServerOptions server_options;
     server_options.materialize = eval_options;
     idl::Server server(server_options);
@@ -674,9 +655,10 @@ int main(int argc, char** argv) {
       }
     }
   }
-  ApplyScriptDirectives(script, &request_options, &eval_options,
-                        maintenance_flag_given, substrate_flag_given,
-                          planner_flag_given);
+  if (!ApplyScriptDirectives(script, &request_options, &eval_options,
+                             maintenance_flag_given, substrate_flag_given)) {
+    return 1;
+  }
   // A directive-requested trace masks its timings (the transcript must be
   // reproducible — the golden corpus pins it); the flag shows real ones.
   bool mask_trace_timings = false;

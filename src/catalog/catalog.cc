@@ -58,43 +58,6 @@ Value BuildCatalog(const Value& universe) {
                     {"attributes", std::move(attributes)}});
 }
 
-RelationStats StatsForRelation(const Value& relation) {
-  RelationStats stats;
-  if (!relation.is_set()) return stats;
-  stats.cardinality = relation.SetSize();
-  stats.uniform = true;
-  const std::vector<Value::Field>* first = nullptr;
-  for (const auto& element : relation.elements()) {
-    if (!element.is_tuple()) {
-      stats.uniform = false;
-      continue;
-    }
-    const auto& fields = element.fields();
-    if (first == nullptr) {
-      first = &fields;
-      stats.arity = fields.size();
-    } else if (stats.uniform) {
-      if (fields.size() != first->size()) {
-        stats.uniform = false;
-      } else {
-        for (size_t i = 0; i < fields.size(); ++i) {
-          if (fields[i].name != (*first)[i].name) {
-            stats.uniform = false;
-            break;
-          }
-        }
-      }
-    }
-    if (!stats.uniform && fields.size() > stats.arity) {
-      // Heterogeneous: keep arity as an attribute-union lower bound without
-      // paying for the full union (the planner only needs a fan-out guess).
-      stats.arity = fields.size();
-    }
-  }
-  if (first == nullptr) stats.uniform = relation.SetSize() == 0;
-  return stats;
-}
-
 Result<Value> WithCatalog(const Value& universe, std::string_view name) {
   if (!universe.is_tuple()) {
     return TypeError("universe must be a tuple of databases");

@@ -37,16 +37,6 @@ Value BuildCatalog(const Value& universe);
 Result<Value> WithCatalog(const Value& universe,
                           std::string_view name = "cat");
 
-// Plan-time statistics for one relation-shaped set, exactly as the catalog
-// would describe it (the planner reads these live instead of querying a
-// reified — and possibly stale — `cat` database; see src/planner).
-struct RelationStats {
-  size_t cardinality = 0;  // element count
-  size_t arity = 0;        // attribute-union size across elements
-  bool uniform = false;    // every element is a tuple with the same attrs
-};
-RelationStats StatsForRelation(const Value& relation);
-
 }  // namespace idl
 
 #endif  // IDL_CATALOG_CATALOG_H_

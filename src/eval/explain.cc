@@ -148,40 +148,27 @@ std::string FormatAnalyze(const std::vector<StratumStats>& strata,
     return mask_timings ? std::string("-") : StrCat(FormatMs(v), "ms");
   };
   std::vector<std::vector<std::string>> rows;
-  rows.push_back({"stratum", "rule", "head", "passes", "subs", "plan_ms",
-                  "enum_ms", "write_ms", "wall_ms", "cpu_ms"});
+  rows.push_back({"stratum", "rule", "head", "passes", "subs", "enum_ms",
+                  "write_ms", "wall_ms", "cpu_ms"});
   double strata_wall = 0.0;
   double strata_cpu = 0.0;
-  double strata_plan = 0.0;
-  std::string plan_lines;
   for (const auto& s : strata) {
     rows.push_back({StrCat(s.stratum), "-", "-", StrCat(s.passes),
-                    StrCat(s.substitutions), "-", "-", "-", ms(s.wall_ms),
+                    StrCat(s.substitutions), "-", "-", ms(s.wall_ms),
                     ms(s.cpu_ms)});
     strata_wall += s.wall_ms;
     strata_cpu += s.cpu_ms;
     for (const auto& r : s.rule_timings) {
       rows.push_back({StrCat(s.stratum), StrCat(r.rule), r.head,
                       StrCat(r.passes), StrCat(r.substitutions),
-                      ms(r.plan_ms), ms(r.enumerate_ms), ms(r.write_ms), "-",
-                      "-"});
-      strata_plan += r.plan_ms;
-      if (r.planned) {
-        plan_lines += StrCat("plan: rule=", r.rule, " ", r.plan_summary,
-                             " est=", r.plan_est_rows,
-                             " actual=", r.plan_actual_rows,
-                             " fallback=", r.plan_fell_back ? "yes" : "no",
-                             "\n");
-      }
+                      ms(r.enumerate_ms), ms(r.write_ms), "-", "-"});
     }
   }
-  rows.push_back({"total", "-", "-", "", "", "", "", "", ms(strata_wall),
+  rows.push_back({"total", "-", "-", "", "", "", "", ms(strata_wall),
                   ms(strata_cpu)});
-  return StrCat(AlignRows(rows), plan_lines,
-                "analyze: wall=", trailer_ms(wall_ms),
+  return StrCat(AlignRows(rows), "analyze: wall=", trailer_ms(wall_ms),
                 " cpu=", trailer_ms(cpu_ms),
-                " strata_wall=", trailer_ms(strata_wall),
-                " plan=", trailer_ms(strata_plan), "\n");
+                " strata_wall=", trailer_ms(strata_wall), "\n");
 }
 
 }  // namespace idl

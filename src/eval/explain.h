@@ -52,17 +52,8 @@ struct RuleTimingStats {
   std::string head;   // HeadTarget, "db.rel" with "*" for data-dependent
   int passes = 0;     // passes this rule was enumerated in
   uint64_t substitutions = 0;  // body substitutions processed
-  double plan_ms = 0.0;        // cost-based planning wall time (its own
-                               // phase; never folded into enumerate_ms)
-  double enumerate_ms = 0.0;   // body enumeration wall time (excl. plan)
+  double enumerate_ms = 0.0;   // body enumeration wall time
   double write_ms = 0.0;       // head write wall time
-  // Cost-based planner outcome (src/planner/planner.h PlanInfo), summed
-  // across passes/delta variants. All zero under PlannerMode::kWrittenOrder.
-  bool planned = false;          // a cost-based plan executed
-  bool plan_fell_back = false;   // a planned run errored; written order re-ran
-  uint64_t plan_est_rows = 0;    // planner's estimated emissions
-  uint64_t plan_actual_rows = 0; // emissions the planned runs produced
-  std::string plan_summary;      // e.g. "order=[1 0] spec=[0:S*16]"
 };
 
 // Per-evaluation-level accounting of one materialization (see
@@ -91,12 +82,10 @@ struct StratumStats {
 std::string FormatStratumStats(const std::vector<StratumStats>& strata);
 
 // The EXPLAIN ANALYZE table: per-stratum rows (wall/CPU) interleaved with
-// their per-rule phase timings (plan / enumerate / write — planner time is
-// its own phase, never folded into enumerate), one "plan: rule=..." line
-// per cost-planned rule (chosen order, specializations, estimated vs
-// actual cardinality, fallbacks), and a totals row summing the strata,
-// then a trailer line carrying the materialization's own measured totals —
-//   analyze: wall=12.34ms cpu=11.90ms strata_wall=12.10ms plan=0.02ms
+// their per-rule phase timings (enumerate / write), and a totals row
+// summing the strata, then a trailer line carrying the materialization's
+// own measured totals —
+//   analyze: wall=12.34ms cpu=11.90ms strata_wall=12.10ms
 // so per-stratum attribution can be checked against end-to-end time (the
 // two agree within 10% on the paper pipeline; tests/trace_metrics_test.cc
 // asserts the containment direction). With mask_timings every timing cell

@@ -134,15 +134,11 @@ Result<bool> Matcher::Match(const Value& value, const Expr& expr,
     ++stats_->negation_probes;
     bool found = false;
     size_t mark = sigma->Mark();
-    // Choices made while probing for a witness are existential and never
-    // reach an emission; keep them out of the recorded path.
-    if (recorder_ != nullptr) recorder_->Suspend();
     Result<bool> r =
         MatchPositive(value, expr, sigma, [&](const Substitution&) {
           found = true;
           return false;  // stop at first witness
         });
-    if (recorder_ != nullptr) recorder_->Resume();
     sigma->RollbackTo(mark);
     if (!r.ok()) return r.status();
     if (found) return true;  // negation fails: no callback, keep enumerating
@@ -320,37 +316,14 @@ Result<bool> Matcher::MatchTupleItems(const Value& value,
       if (!bound->is_string()) return true;
       const Value* attr_object = value.FindField(bound->as_string());
       if (attr_object == nullptr) return true;
-      if (recorder_ != nullptr) {
-        // Record the attribute's ordinal even on the direct-lookup path, so
-        // a plan that binds the variable earlier than the written order did
-        // still produces the ordinal the written-order enumeration records.
-        const auto& fields = value.fields();
-        size_t fi = 0;
-        while (fi < fields.size() && fields[fi].name != bound->as_string()) {
-          ++fi;
-        }
-        size_t cmark = recorder_->Mark();
-        recorder_->Push(static_cast<int32_t>(fi));
-        result = match_one_attr(*attr_object);
-        recorder_->TruncateTo(cmark);
-      } else {
-        result = match_one_attr(*attr_object);
-      }
+      result = match_one_attr(*attr_object);
     } else {
       // Enumerate attribute names (§4.3 higher-order quantification).
-      const auto& fields = value.fields();
-      for (size_t fi = 0; fi < fields.size(); ++fi) {
-        const auto& field = fields[fi];
+      for (const auto& field : value.fields()) {
         ++stats_->attrs_enumerated;
         size_t mark = sigma->Mark();
-        size_t cmark = 0;
-        if (recorder_ != nullptr) {
-          cmark = recorder_->Mark();
-          recorder_->Push(static_cast<int32_t>(fi));
-        }
         sigma->Bind(item.attr, Value::String(field.name));
         Result<bool> r = match_one_attr(field.value);
-        if (recorder_ != nullptr) recorder_->TruncateTo(cmark);
         sigma->RollbackTo(mark);
         if (!r.ok()) return r.status();
         if (!*r) {
@@ -428,15 +401,7 @@ Result<bool> Matcher::MatchSet(const Value& value, const Expr& expr,
         for (uint32_t i : candidates) {
           ++stats_->set_elements_scanned;
           size_t mark = sigma->Mark();
-          size_t cmark = 0;
-          if (recorder_ != nullptr) {
-            cmark = recorder_->Mark();
-            // Candidates carry their absolute element index, so probe and
-            // scan paths record identical ordinals for identical matches.
-            recorder_->Push(static_cast<int32_t>(i));
-          }
           Result<bool> r = Match(elements[i], inner, sigma, cb);
-          if (recorder_ != nullptr) recorder_->TruncateTo(cmark);
           sigma->RollbackTo(mark);
           if (!r.ok()) return r.status();
           if (!*r) return false;
@@ -446,17 +411,10 @@ Result<bool> Matcher::MatchSet(const Value& value, const Expr& expr,
     }
   }
 
-  const auto& elements = value.elements();
-  for (size_t i = 0; i < elements.size(); ++i) {
+  for (const auto& element : value.elements()) {
     ++stats_->set_elements_scanned;
     size_t mark = sigma->Mark();
-    size_t cmark = 0;
-    if (recorder_ != nullptr) {
-      cmark = recorder_->Mark();
-      recorder_->Push(static_cast<int32_t>(i));
-    }
-    Result<bool> r = Match(elements[i], inner, sigma, cb);
-    if (recorder_ != nullptr) recorder_->TruncateTo(cmark);
+    Result<bool> r = Match(element, inner, sigma, cb);
     sigma->RollbackTo(mark);
     if (!r.ok()) return r.status();
     if (!*r) return false;

@@ -23,7 +23,6 @@
 #ifndef IDL_EVAL_MATCHER_H_
 #define IDL_EVAL_MATCHER_H_
 
-#include <cstdint>
 #include <functional>
 #include <string_view>
 #include <vector>
@@ -39,41 +38,12 @@ namespace idl {
 // Returns false to stop enumeration early.
 using MatchCallback = std::function<bool(const Substitution&)>;
 
-// Records the ordinal chosen at every branch point of a match — set-element
-// indexes and higher-order attribute positions — so the planner can
-// reconstruct, for each emitted substitution, where the written-order
-// enumeration would have emitted it (src/planner/planner.cc). Every
-// successful match path through an expression crosses a statically known
-// number of branch points (sets and attribute variables outside negation),
-// so at emission time the path is a fixed-length key. Recording is
-// suspended inside negation probes: their choices are existential and never
-// reach an emission.
-class ChoiceRecorder {
- public:
-  void Push(int32_t ordinal) {
-    if (suspended_ == 0) path_.push_back(ordinal);
-  }
-  size_t Mark() const { return path_.size(); }
-  void TruncateTo(size_t mark) { path_.resize(mark); }
-  void Suspend() { ++suspended_; }
-  void Resume() { --suspended_; }
-  const std::vector<int32_t>& path() const { return path_; }
-
- private:
-  std::vector<int32_t> path_;
-  int suspended_ = 0;
-};
-
 class Matcher {
  public:
   // `index_cache` (optional) accelerates equality probes into large sets;
   // it must only be supplied while the matched universe is immutable.
   explicit Matcher(EvalStats* stats, SetIndexCache* index_cache = nullptr)
       : stats_(stats), index_cache_(index_cache) {}
-
-  // Attaches a branch-point recorder (null to detach). The recorder must
-  // outlive every Match call made while attached.
-  void set_recorder(ChoiceRecorder* recorder) { recorder_ = recorder; }
 
   // Enumerates satisfying extensions; the result is false if enumeration was
   // stopped early by the callback, true otherwise. Update-marked expressions
@@ -120,7 +90,6 @@ class Matcher {
 
   EvalStats* stats_;
   SetIndexCache* index_cache_;
-  ChoiceRecorder* recorder_ = nullptr;
   // An error raised inside a nested enumeration callback is parked here and
   // re-raised once the enumeration unwinds.
   Status nested_error_;

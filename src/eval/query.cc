@@ -9,7 +9,6 @@
 #include "eval/substitution.h"
 #include "eval/vector_exec.h"
 #include "object/value_io.h"
-#include "planner/planner.h"
 #include "syntax/analysis.h"
 
 namespace idl {
@@ -139,7 +138,7 @@ Result<bool> EnumerateBindingsOver(
     const std::vector<ConjunctSource>& conjuncts, const EvalOptions& options,
     EvalStats* stats, SetIndexCache* index_cache,
     const std::function<bool(const Substitution&)>& cb,
-    const ResourceGovernor* governor, PlanInfo* plan_info) {
+    const ResourceGovernor* governor) {
   EvalStats local_stats;
   if (stats == nullptr) stats = &local_stats;
 
@@ -162,19 +161,6 @@ Result<bool> EnumerateBindingsOver(
   SetIndexCache local_cache(options.index_min_set_size);
   SetIndexCache* cache = index_cache;
   if (cache == nullptr && options.use_indexes) cache = &local_cache;
-
-  // Cost-based planning. max_rows defines early stop on the *written*
-  // emission order, so planning (which buffers and replays) would change
-  // which rows make the cut — written order handles that case. An error
-  // fallback falls through to the written-order chain below, which re-runs
-  // the enumeration and raises the error with written timing.
-  if (options.planner == PlannerMode::kCostBased && options.max_rows == 0) {
-    SetIndexCache* page_cache = index_cache != nullptr ? index_cache
-                                                       : &local_cache;
-    PlannedEnumerate planned = TryPlannedEnumerate(
-        ordered, options, stats, page_cache, cb, governor, plan_info);
-    if (planned.kind == PlannedEnumerate::Kind::kDone) return planned.result;
-  }
 
   Matcher matcher(stats, options.use_indexes ? cache : nullptr);
   Substitution sigma;

@@ -64,9 +64,10 @@ enum class MaintenanceMode {
 // docs/COLUMNAR.md and relational/columnar.h).
 enum class EvalSubstrate {
   // Vectorized kernels over per-attribute column vectors for flat
-  // relations, falling back to tuple-at-a-time matching for everything the
-  // planner cannot vectorize (higher-order attribute variables, negation,
-  // non-flat sets). Transcript-identical to kNested by construction.
+  // relations, falling back to tuple-at-a-time matching for everything
+  // CompileVectorConjunct rejects (element-level attribute variables,
+  // negation, guards) and for non-flat sets. Transcript-identical to
+  // kNested by construction.
   kColumnar,
   // Tuple-at-a-time matching over nested Values everywhere; kept as the
   // differential oracle (the same naive-vs-optimized proof pattern as
@@ -76,21 +77,6 @@ enum class EvalSubstrate {
 
 class ColumnarStore;
 class SetIndexCache;
-
-// How rule-body conjuncts are ordered for enumeration (see
-// src/planner/planner.h and docs/PLANNER.md).
-enum class PlannerMode {
-  // Evaluate conjuncts exactly in written order (after defer_negation).
-  // Kept as the differential oracle: the planned mode must be
-  // answer-identical to this one, including error timing.
-  kWrittenOrder,
-  // Cost-based: greedy bound-variable-first join reordering driven by
-  // cardinality estimates, plus compile-time specialization of
-  // higher-order conjuncts into their first-order instances. Emission
-  // order and error behaviour are reconstructed to match kWrittenOrder
-  // exactly (byte-identical answers).
-  kCostBased,
-};
 
 struct EvalOptions {
   // Move negated conjuncts after all positive ones (keeps left-to-right
@@ -116,12 +102,6 @@ struct EvalOptions {
   MaintenanceMode maintenance = MaintenanceMode::kIncremental;
   // Physical evaluation substrate for flat relations.
   EvalSubstrate substrate = EvalSubstrate::kColumnar;
-  // Conjunct-ordering planner. kCostBased reorders and specializes rule
-  // bodies behind an emission-order reconstruction that keeps answers
-  // byte-identical to kWrittenOrder (the oracle). Ignored (written order)
-  // when max_rows is set: early-stop semantics are defined on the written
-  // emission order.
-  PlannerMode planner = PlannerMode::kWrittenOrder;
   // Pre-built columnar pages for this universe (server epochs share them
   // across sessions). Null = build pages on demand per index-cache
   // generation. Ignored under kNested.
@@ -179,19 +159,16 @@ struct ConjunctSource {
   const Value* universe = nullptr;
 };
 
-struct PlanInfo;
-
 // Lower-level enumeration: per-conjunct universes and an optional external
 // index cache (persistent across calls; the caller is responsible for
 // generation-invalidating it — see eval/index.h). When `index_cache` is
 // null and options.use_indexes is set, a throwaway per-call cache is used,
-// which is exactly EnumerateBindings' behaviour. `plan_info`, if non-null,
-// accumulates what the cost-based planner did (src/planner/planner.h).
+// which is exactly EnumerateBindings' behaviour.
 Result<bool> EnumerateBindingsOver(
     const std::vector<ConjunctSource>& conjuncts, const EvalOptions& options,
     EvalStats* stats, SetIndexCache* index_cache,
     const std::function<bool(const Substitution&)>& cb,
-    const ResourceGovernor* governor = nullptr, PlanInfo* plan_info = nullptr);
+    const ResourceGovernor* governor = nullptr);
 
 }  // namespace idl
 

@@ -29,20 +29,26 @@ std::optional<VectorConjunctPlan> CompileVectorConjunct(const Expr& expr) {
   VectorConjunctPlan plan;
   plan.source = &expr;
 
-  // Navigate single-item constant-attribute tuple levels down to the set.
+  // Navigate single-item tuple levels down to the set. Every step names a
+  // constant attribute except possibly the last, a relation variable.
   const Expr* e = &expr;
   while (true) {
     if (e->negated || e->update != UpdateOp::kNone) return std::nullopt;
     if (e->kind == Expr::Kind::kSet) break;
-    if (e->kind != Expr::Kind::kTuple || e->items.size() != 1) {
+    if (plan.rel_var != nullptr || e->kind != Expr::Kind::kTuple ||
+        e->items.size() != 1) {
       return std::nullopt;
     }
     const TupleItem& item = e->items[0];
-    if (item.is_guard() || item.attr_is_var ||
-        item.update != UpdateOp::kNone || item.expr == nullptr) {
+    if (item.is_guard() || item.update != UpdateOp::kNone ||
+        item.expr == nullptr) {
       return std::nullopt;
     }
-    plan.path.push_back(&item.attr);
+    if (item.attr_is_var) {
+      plan.rel_var = &item.attr;
+    } else {
+      plan.path.push_back(&item.attr);
+    }
     e = item.expr.get();
   }
 
@@ -110,35 +116,14 @@ std::optional<VectorConjunctPlan> CompileVectorConjunct(const Expr& expr) {
   return plan;
 }
 
-Result<bool> ExecuteVectorConjunct(const VectorConjunctPlan& plan,
-                                   const Value& universe, SetIndexCache* cache,
-                                   const ColumnarStore* store, bool use_indexes,
-                                   size_t index_min_rows, EvalStats* stats,
-                                   Substitution* sigma,
-                                   const std::function<bool()>& next,
-                                   bool* fell_back,
-                                   ChoiceRecorder* recorder) {
-  *fell_back = false;
+namespace {
 
-  // Navigate to the relation set; kind mismatches and absent attributes are
-  // "no match", never errors (heterogeneous multidatabase data).
-  const Value* cur = &universe;
-  for (const std::string* attr : plan.path) {
-    if (!cur->is_tuple()) return true;
-    cur = cur->FindField(*attr);
-    if (cur == nullptr) return true;
-  }
-  if (!cur->is_set()) return true;
-
-  std::shared_ptr<const ColumnarRelation> page = cache->Columnar(*cur, store);
-  if (page == nullptr) {
-    NonflatFallbacksCounter()->Increment();
-    *fell_back = true;
-    return true;
-  }
-  VectorActivationsCounter()->Increment();
-  const ColumnarRelation& rel = *page;
-
+// The item loop over one relation's page: narrows a selection vector item
+// by item, then emits the surviving rows in row order.
+Result<bool> RunItems(const VectorConjunctPlan& plan,
+                      const ColumnarRelation& rel, bool use_indexes,
+                      size_t index_min_rows, EvalStats* stats,
+                      Substitution* sigma, const std::function<bool()>& next) {
   // The selection vector starts as "all rows" without materializing it, so
   // a leading equality item can seed it straight from an index probe.
   std::vector<uint32_t> sel;
@@ -160,7 +145,7 @@ Result<bool> ExecuteVectorConjunct(const VectorConjunctPlan& plan,
   std::vector<PendingBind> binds;
   Value scratch;  // evaluated arithmetic operand
 
-  // Stats mirror the scan: the first narrowing step of an activation
+  // Stats mirror the scan: the first narrowing step over a page
   // "scans" its input rows (the probe path counts only its candidates,
   // exactly like the nested index fast path).
   bool scan_counted = false;
@@ -265,20 +250,87 @@ Result<bool> ExecuteVectorConjunct(const VectorConjunctPlan& plan,
   count_scan(sel.size());
   for (uint32_t r : sel) {
     size_t mark = sigma->Mark();
-    size_t cmark = 0;
-    if (recorder != nullptr) {
-      cmark = recorder->Mark();
-      recorder->Push(static_cast<int32_t>(r));
-    }
     for (const PendingBind& b : binds) {
       sigma->Bind(*b.var, rel.CellValue(static_cast<size_t>(b.col), r));
     }
     bool keep_going = next();
-    if (recorder != nullptr) recorder->TruncateTo(cmark);
     sigma->RollbackTo(mark);
     if (!keep_going) return false;
   }
   return true;
+}
+
+}  // namespace
+
+Result<bool> ExecuteVectorConjunct(const VectorConjunctPlan& plan,
+                                   const Value& universe, SetIndexCache* cache,
+                                   const ColumnarStore* store, bool use_indexes,
+                                   size_t index_min_rows, EvalStats* stats,
+                                   Substitution* sigma,
+                                   const std::function<bool()>& next,
+                                   bool* fell_back) {
+  *fell_back = false;
+
+  // Navigate to the relation set (or, under a relation variable, to the
+  // tuple of relations); kind mismatches and absent attributes are "no
+  // match", never errors (heterogeneous multidatabase data).
+  const Value* cur = &universe;
+  for (const std::string* attr : plan.path) {
+    if (!cur->is_tuple()) return true;
+    cur = cur->FindField(*attr);
+    if (cur == nullptr) return true;
+  }
+  auto fall_back = [&] {
+    NonflatFallbacksCounter()->Increment();
+    *fell_back = true;
+    return true;
+  };
+  auto run = [&](const ColumnarRelation& rel) {
+    return RunItems(plan, rel, use_indexes, index_min_rows, stats, sigma,
+                    next);
+  };
+
+  // A relation variable ranges over the tuple's attribute names, exactly as
+  // Matcher::MatchTupleItems enumerates them: bound, it must be a string
+  // naming a field; unbound, it visits every field in field order. Fields
+  // that are not sets match nothing.
+  if (plan.rel_var != nullptr) {
+    if (!cur->is_tuple()) return true;
+    const Value* bound = sigma->Lookup(*plan.rel_var);
+    if (bound == nullptr) {
+      // Every page is fetched before the first row emits, so a non-flat
+      // relation anywhere sends the whole activation to the matcher and no
+      // row is emitted twice.
+      const std::vector<Value::Field>& fields = cur->fields();
+      std::vector<std::shared_ptr<const ColumnarRelation>> pages(
+          fields.size());
+      for (size_t i = 0; i < fields.size(); ++i) {
+        if (!fields[i].value.is_set()) continue;
+        pages[i] = cache->Columnar(fields[i].value, store);
+        if (pages[i] == nullptr) return fall_back();
+      }
+      VectorActivationsCounter()->Increment();
+      for (size_t i = 0; i < fields.size(); ++i) {
+        ++stats->attrs_enumerated;
+        if (pages[i] == nullptr) continue;
+        size_t mark = sigma->Mark();
+        sigma->Bind(*plan.rel_var, Value::String(fields[i].name));
+        Result<bool> r = run(*pages[i]);
+        sigma->RollbackTo(mark);
+        if (!r.ok() || !*r) return r;
+      }
+      return true;
+    }
+    if (!bound->is_string()) return true;
+    cur = cur->FindField(bound->as_string());
+    if (cur == nullptr) return true;
+  }
+
+  if (!cur->is_set()) return true;
+  std::shared_ptr<const ColumnarRelation> page = cache->Columnar(*cur, store);
+  if (page == nullptr) return fall_back();
+  VectorActivationsCounter()->Increment();
+  return run(*page);
 }
 
 }  // namespace idl

@@ -15,11 +15,16 @@
 //  * CompileVectorConjunct — static shape analysis, once per enumeration: a
 //    chain of single-item tuple navigations down to a set whose inner tuple
 //    has only constant-attribute atomic/ε items (no negation, guards,
-//    higher-order attribute variables, updates, intra-conjunct variable
-//    reuse, or nested aggregates — those shapes keep the matcher).
+//    element-level attribute variables, updates, intra-conjunct variable
+//    reuse, or nested aggregates — those shapes keep the matcher). The last
+//    navigation step may be a relation-position attribute variable
+//    (`.ource.S(.date=D, .clsPrice=P)`, §4.3).
 //  * ExecuteVectorConjunct — runs a compiled plan under the current
 //    substitution. Dynamic per-item classification (a variable bound by an
-//    earlier conjunct filters; an unbound one binds) mirrors MatchAtomic.
+//    earlier conjunct filters; an unbound one binds) mirrors MatchAtomic. A
+//    relation variable visits the navigated tuple's fields in field order,
+//    binding the variable and running the item loop over each relation's
+//    page — the written-order enumeration, one page at a time.
 //
 // Equivalence contract (pinned by columnar_test and every differential
 // suite): for any conjunct it accepts, ExecuteVectorConjunct emits exactly
@@ -61,9 +66,11 @@ struct VectorItemPlan {
 };
 
 // A compiled conjunct: navigate `path` from the universe root to a set,
-// then run `items` over its columnar page.
+// then run `items` over its columnar page. With `rel_var`, `path` ends at a
+// tuple instead, and each of its set-valued fields is a relation to run.
 struct VectorConjunctPlan {
   std::vector<const std::string*> path;  // tuple attrs, owned by `source`
+  const std::string* rel_var = nullptr;  // `.db.R(…)`'s R, owned by `source`
   std::vector<VectorItemPlan> items;
   const Expr* source = nullptr;          // the conjunct (for fallback)
 };
@@ -71,24 +78,20 @@ struct VectorConjunctPlan {
 // Static shape analysis; nullopt when the conjunct must keep the matcher.
 std::optional<VectorConjunctPlan> CompileVectorConjunct(const Expr& expr);
 
-class ChoiceRecorder;
-
 // Runs `plan` against `universe` under `*sigma`, calling `next` once per
 // satisfying row with `*sigma` extended (and rolled back afterwards).
 // Returns false when `next` stopped enumeration, true otherwise; errors are
-// the exact statuses the matcher would raise. If the target set has no
-// columnar page (not flat), sets `*fell_back` and returns without emitting:
-// the caller must run the matcher instead. `recorder`, if non-null,
-// receives the emitted row's element ordinal around each `next` call — the
-// same ordinal the matcher's set scan records (eval/matcher.h).
+// the exact statuses the matcher would raise. If a target set has no
+// columnar page (not flat) — for a relation variable, any set-valued field
+// it may visit — sets `*fell_back` and returns before emitting anything:
+// the caller must run the matcher instead.
 Result<bool> ExecuteVectorConjunct(const VectorConjunctPlan& plan,
                                    const Value& universe, SetIndexCache* cache,
                                    const ColumnarStore* store, bool use_indexes,
                                    size_t index_min_rows, EvalStats* stats,
                                    Substitution* sigma,
                                    const std::function<bool()>& next,
-                                   bool* fell_back,
-                                   ChoiceRecorder* recorder = nullptr);
+                                   bool* fell_back);
 
 }  // namespace idl
 

@@ -191,6 +191,20 @@ bool Value::RemoveField(std::string_view name) {
 
 // ---- Set access ------------------------------------------------------------
 
+Value::SetRep::SetRep(const SetRep& o)
+    : elems(o.elems),
+      index(o.index == nullptr ? nullptr : std::make_unique<Index>(*o.index)) {}
+
+Value::SetRep& Value::SetRep::operator=(const SetRep& o) {
+  if (this != &o) *this = SetRep(o);
+  return *this;
+}
+
+Value::SetRep::Index& Value::SetRep::MutableIndex() {
+  if (index == nullptr) index = std::make_unique<Index>();
+  return *index;
+}
+
 Value::SetRep& Value::set_rep() {
   IDL_CHECK(is_set());
   return std::get<SetRep>(rep_);
@@ -207,8 +221,9 @@ const std::vector<Value>& Value::elements() const { return set_rep().elems; }
 
 bool Value::Contains(const Value& v) const {
   const auto& s = set_rep();
+  if (s.index == nullptr) return false;
   uint64_t h = v.Hash();
-  auto [lo, hi] = s.index.equal_range(h);
+  auto [lo, hi] = s.index->equal_range(h);
   for (auto it = lo; it != hi; ++it) {
     if (s.elems[it->second] == v) return true;
   }
@@ -219,7 +234,7 @@ bool Value::Insert(Value v) {
   if (Contains(v)) return false;
   auto& s = set_rep();
   uint64_t h = v.Hash();
-  s.index.emplace(h, static_cast<uint32_t>(s.elems.size()));
+  s.MutableIndex().emplace(h, static_cast<uint32_t>(s.elems.size()));
   s.elems.push_back(std::move(v));
   SetCachedHash(0);
   return true;
@@ -237,11 +252,12 @@ void Value::RehashSet() {
   // Dedup (keep first occurrence) then rebuild the index.
   std::vector<Value> kept;
   kept.reserve(s.elems.size());
-  s.index.clear();
+  SetRep::Index& index = s.MutableIndex();
+  index.clear();
   for (auto& e : s.elems) {
     uint64_t h = e.Hash();
     bool dup = false;
-    auto [lo, hi] = s.index.equal_range(h);
+    auto [lo, hi] = index.equal_range(h);
     for (auto it = lo; it != hi; ++it) {
       if (kept[it->second] == e) {
         dup = true;
@@ -249,7 +265,7 @@ void Value::RehashSet() {
       }
     }
     if (!dup) {
-      s.index.emplace(h, static_cast<uint32_t>(kept.size()));
+      index.emplace(h, static_cast<uint32_t>(kept.size()));
       kept.push_back(std::move(e));
     }
   }
@@ -260,18 +276,19 @@ void Value::RehashSet() {
 bool Value::RehashElement(size_t index, uint64_t old_hash) {
   auto& s = set_rep();
   IDL_CHECK(index < s.elems.size());
+  SetRep::Index& set_index = s.MutableIndex();
   // Drop the stale index entry keyed by the pre-mutation hash.
   {
-    auto [lo, hi] = s.index.equal_range(old_hash);
+    auto [lo, hi] = set_index.equal_range(old_hash);
     for (auto it = lo; it != hi; ++it) {
       if (it->second == index) {
-        s.index.erase(it);
+        set_index.erase(it);
         break;
       }
     }
   }
   uint64_t h = s.elems[index].Hash();
-  auto [lo, hi] = s.index.equal_range(h);
+  auto [lo, hi] = set_index.equal_range(h);
   for (auto it = lo; it != hi; ++it) {
     if (s.elems[it->second] == s.elems[index]) {
       // One mutated element can create at most one duplicate pair (the set
@@ -284,16 +301,17 @@ bool Value::RehashElement(size_t index, uint64_t old_hash) {
       return true;
     }
   }
-  s.index.emplace(h, static_cast<uint32_t>(index));
+  set_index.emplace(h, static_cast<uint32_t>(index));
   SetCachedHash(0);
   return false;
 }
 
 void Value::RebuildSetIndex() {
   auto& s = set_rep();
-  s.index.clear();
+  SetRep::Index& index = s.MutableIndex();
+  index.clear();
   for (uint32_t i = 0; i < s.elems.size(); ++i) {
-    s.index.emplace(s.elems[i].Hash(), i);
+    index.emplace(s.elems[i].Hash(), i);
   }
 }
 

@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -200,9 +201,24 @@ class Value {
     std::vector<Field> fields;
   };
   struct SetRep {
-    std::vector<Value> elems;
     // element hash -> indices into elems (collision chains possible).
-    std::unordered_multimap<uint64_t, uint32_t> index;
+    using Index = std::unordered_multimap<uint64_t, uint32_t>;
+
+    SetRep() = default;
+    SetRep(const SetRep& o);
+    SetRep& operator=(const SetRep& o);
+    SetRep(SetRep&&) = default;
+    SetRep& operator=(SetRep&&) = default;
+
+    // The index, created on first use.
+    Index& MutableIndex();
+
+    std::vector<Value> elems;
+    // Held by pointer because the map object alone is larger than every
+    // other alternative of Rep: inline, it would double every Value (96
+    // bytes instead of 48). Null until something is inserted, so a null
+    // index means an empty set.
+    std::unique_ptr<Index> index;
   };
 
   using Rep = std::variant<std::monostate, bool, int64_t, double, std::string,

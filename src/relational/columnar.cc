@@ -427,12 +427,6 @@ const ColumnarRelation::ColumnIndex& ColumnarRelation::EnsureIndex(
   return *idx;
 }
 
-size_t ColumnarRelation::DistinctIfIndexed(size_t col) const {
-  if (col >= indexes_.size()) return 0;
-  const ColumnIndex* idx = indexes_[col].load(std::memory_order_acquire);
-  return idx == nullptr ? 0 : idx->buckets.size();
-}
-
 void ColumnarRelation::ProbeEq(size_t col, const Value& operand,
                                std::vector<uint32_t>* out, bool* built) const {
   out->clear();

@@ -128,12 +128,6 @@ class ColumnarRelation {
   // All rows, ascending (the identity selection vector).
   void AllRows(std::vector<uint32_t>* sel) const;
 
-  // Distinct-value estimate for `col` from the lazy hash index: the bucket
-  // count when the index has already been built (by a prior probe), else 0
-  // (unknown — the planner falls back to a default selectivity rather than
-  // forcing an index build at plan time). Thread-safe.
-  size_t DistinctIfIndexed(size_t col) const;
-
  private:
   // element hash (normalized) -> rows in ascending order.
   struct ColumnIndex {

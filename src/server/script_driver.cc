@@ -1,5 +1,7 @@
 #include "server/script_driver.h"
 
+#include <charconv>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -48,6 +50,26 @@ std::string DirectiveWord(std::string_view script, std::string_view directive) {
 
 size_t ServerSessionsDirective(std::string_view script) {
   return DirectiveNumber(script, "% server-sessions:", 0);
+}
+
+Result<int> MaxPassesDirective(std::string_view script) {
+  constexpr std::string_view kDirective = "% max-passes:";
+  size_t at = script.find(kDirective);
+  if (at == std::string_view::npos) return 0;
+  std::string_view text = script.substr(at + kDirective.size());
+  text = text.substr(0, text.find('\n'));
+  auto blank = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
+  while (!text.empty() && blank(text.front())) text.remove_prefix(1);
+  while (!text.empty() && blank(text.back())) text.remove_suffix(1);
+  int passes = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, passes);
+  if (ec != std::errc() || ptr != end || passes < 0) {
+    return InvalidArgument(StrCat(kDirective, " wants an integer in [0, ",
+                                  std::numeric_limits<int>::max(), "], got '",
+                                  text, "'"));
+  }
+  return passes;
 }
 
 Result<ServerScriptResult> RunServerScript(Server* server,

@@ -49,6 +49,11 @@ Result<ServerScriptResult> RunServerScript(
 // The `% server-sessions: N` directive (0 when absent).
 size_t ServerSessionsDirective(std::string_view script);
 
+// The `% max-passes: N` fixpoint pass budget (0 when absent). The rest of
+// the directive's line, without surrounding blanks, must be a decimal
+// integer in [0, INT_MAX]; anything else is InvalidArgument.
+Result<int> MaxPassesDirective(std::string_view script);
+
 // ---- Durable scripts (src/durability, docs/DURABILITY.md) ------------------
 //
 // The driver behind `idl_shell --wal-dir=DIR` and the golden corpus's

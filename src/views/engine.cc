@@ -19,7 +19,6 @@
 #include "eval/matcher.h"
 #include "eval/query.h"
 #include "eval/substitution.h"
-#include "planner/planner.h"
 #include "relational/columnar.h"
 #include "syntax/analysis.h"
 #include "syntax/printer.h"
@@ -41,19 +40,6 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 
 double CpuMsSince(int64_t start_ns) {
   return static_cast<double>(ThreadCpuNs() - start_ns) / 1e6;
-}
-
-// Folds one enumeration's planner outcome into a rule's timing row. Plan
-// time is its own EXPLAIN ANALYZE phase, so the caller must subtract
-// info.plan_ms from the wall time it attributes to enumeration.
-void FoldPlanInfo(const PlanInfo& info, RuleTimingStats* timing) {
-  timing->plan_ms += info.plan_ms;
-  if (!info.planned) return;
-  timing->planned = true;
-  timing->plan_fell_back |= info.fell_back;
-  timing->plan_est_rows += info.est_rows;
-  timing->plan_actual_rows += info.actual_rows;
-  if (timing->plan_summary.empty()) timing->plan_summary = info.summary;
 }
 
 // Rolls one finished materialization's aggregates into the process metrics.
@@ -688,25 +674,18 @@ Result<Materialized> MaterializeNaive(const std::vector<Rule>& rules,
         // (the body reads the same universe the head writes).
         auto enum_start = std::chrono::steady_clock::now();
         std::vector<Substitution> sigmas;
-        std::vector<ConjunctSource> sources;
-        sources.reserve(rule.body.size());
-        for (const auto& conjunct : rule.body) {
-          sources.push_back(ConjunctSource{conjunct.get(), &m.universe});
-        }
-        PlanInfo pinfo;
-        Result<bool> r = EnumerateBindingsOver(
-            sources, options, &run_stats, nullptr,
+        Result<bool> r = EnumerateBindings(
+            m.universe, rule.body, options, &run_stats,
             [&](const Substitution& sigma) {
               sigmas.push_back(sigma);
               return true;
             },
-            governor, &pinfo);
+            governor);
         if (!r.ok()) {
           return r.status().WithContext(
               StrCat("evaluating body of '", rule.source, "'"));
         }
-        FoldPlanInfo(pinfo, &timing);
-        timing.enumerate_ms += MsSince(enum_start) - pinfo.plan_ms;
+        timing.enumerate_ms += MsSince(enum_start);
         ++timing.passes;
         timing.substitutions += sigmas.size();
         row.substitutions += sigmas.size();
@@ -920,7 +899,6 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
       std::vector<Substitution> sigmas;
       Status status = Status::Ok();
       EvalStats stats;
-      PlanInfo plan;  // merged across this task's delta variants
       double enum_wall_ms = 0.0;
       double enum_cpu_ms = 0.0;
     };
@@ -952,7 +930,7 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
       if (!use_delta) {
         Result<bool> r =
             EnumerateBindingsOver(sources, options, &out.stats, cache,
-                                  collect, governor, &out.plan);
+                                  collect, governor);
         if (!r.ok()) out.status = r.status();
       } else {
         // One variant per delta-eligible conjunct: that conjunct reads
@@ -962,7 +940,7 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
           sources[pos].universe = &delta;
           Result<bool> r =
               EnumerateBindingsOver(sources, options, &out.stats, cache,
-                                    collect, governor, &out.plan);
+                                    collect, governor);
           sources[pos].universe = &m.universe;
           if (!r.ok()) {
             out.status = r.status();
@@ -994,8 +972,7 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
       ctx->mat_stats += results[t].stats;
       RuleTimingStats& timing = row.rule_timings[active[t]];
       ++timing.passes;
-      FoldPlanInfo(results[t].plan, &timing);
-      timing.enumerate_ms += results[t].enum_wall_ms - results[t].plan.plan_ms;
+      timing.enumerate_ms += results[t].enum_wall_ms;
       row.cpu_ms += results[t].enum_cpu_ms;
     }
 

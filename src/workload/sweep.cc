@@ -24,7 +24,6 @@ std::string ModePoint::Label() const {
   label += maintenance == MaintenanceMode::kIncremental ? "/inc" : "/remat";
   label += federated ? (faulty ? "/fed+faults" : "/fed") : "/direct";
   label += governed ? "/gov" : "/plain";
-  if (planner == PlannerMode::kCostBased) label += "/plan";
   return label;
 }
 
@@ -55,13 +54,6 @@ std::vector<ModePoint> FullModeLattice() {
                                ? EvalSubstrate::kNested
                                : EvalSubstrate::kColumnar;
           modes.push_back(mode);
-          // Cost-planned variant of every semi-naive point: the planner's
-          // byte-identity contract gets cross-checked against the whole
-          // lattice. The naive oracle points stay written-order.
-          if (sp.strategy == EvalStrategy::kSemiNaive) {
-            mode.planner = PlannerMode::kCostBased;
-            modes.push_back(mode);
-          }
         }
       }
     }
@@ -156,9 +148,7 @@ std::string CheckScenario(const DiscrepancyConfig& config, size_t trace_steps,
     materialize.materialize_parallelism = mode.parallelism;
     materialize.maintenance = mode.maintenance;
     materialize.substrate = mode.substrate;
-    materialize.planner = mode.planner;
     runner->request_options.substrate = mode.substrate;
-    runner->request_options.planner = mode.planner;
     if (mode.governed) {
       ApplyGenerousBudgets(&materialize);
       ApplyGenerousBudgets(&runner->request_options);

@@ -10,16 +10,11 @@
 //   governor     ungoverned | generous pass/derivation budgets on every
 //                request and materialization (counters run, limits never
 //                bind — wall-clock budgets would be flaky under sanitizers)
-//   planner      written order | cost-based (semi-naive points only: the
-//                cost-based planner must be byte-identical to written
-//                order, so every semi-naive point gets a "/plan" variant
-//                cross-checked against the whole lattice)
 //
-// FullModeLattice() enumerates the 3 x 2 x 2 x 2 = 24 base points plus a
-// cost-planned variant of each of the 16 semi-naive points (40 total); the
-// first is the reference (naive / rematerialize / direct / ungoverned — the
-// oracle strategy evaluating from scratch with no federation or governor in
-// the loop).
+// FullModeLattice() enumerates all 3 x 2 x 2 x 2 = 24 points; the first is
+// the reference (naive / rematerialize / direct / ungoverned — the oracle
+// strategy evaluating from scratch with no federation or governor in the
+// loop).
 //
 // RunDifferentialSweep drives every generated universe (and optionally an
 // evolution trace) through all modes in lockstep: after the initial
@@ -64,20 +59,12 @@ struct ModePoint {
   // kNested oracle, so every sweep cross-checks the columnar kernels
   // against it on all five discrepancy styles.
   EvalSubstrate substrate = EvalSubstrate::kColumnar;
-  // Conjunct-ordering planner (eval/query.h). FullModeLattice adds a
-  // kCostBased variant of every semi-naive point, so each sweep proves the
-  // planner answer-identical across maintenance, federation and governor
-  // modes.
-  PlannerMode planner = PlannerMode::kWrittenOrder;
 
-  // "semi-par/inc/fed+faults/gov/plan" — stable, locked by
-  // explain_format_test ("/plan" appended only under kCostBased, so the 24
-  // base labels are unchanged).
+  // "semi-par/inc/fed+faults/gov" — stable, locked by explain_format_test.
   std::string Label() const;
 };
 
-// The full 40-point lattice (24 base + 16 cost-planned semi-naive
-// variants); [0] is the reference mode.
+// The full 24-point lattice; [0] is the reference mode.
 std::vector<ModePoint> FullModeLattice();
 
 struct SweepOptions {

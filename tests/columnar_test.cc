@@ -9,6 +9,10 @@
 //  - Value::RehashElement matching RehashSet's dedup semantics;
 //  - epoch page sharing in ColumnarStore::Build;
 //  - zero non-flat fallbacks when the queried relations are flat;
+//  - relation-variable conjuncts (`.db.R(…)`, §4.3) emitting exactly the
+//    nested matcher's substitutions, errors and error timing, attribute
+//    enumeration counts and early stop — including the whole-activation
+//    fallback when one relation is not flat;
 //  - the batch absorber verifying at most one candidate per absorb on the
 //    paper's views, whatever the stock count.
 
@@ -21,10 +25,12 @@
 
 #include "common/metrics.h"
 #include "eval/matcher.h"
+#include "idl/session.h"
 #include "eval/query.h"
 #include "object/builder.h"
 #include "object/date.h"
 #include "object/value.h"
+#include "object/value_io.h"
 #include "syntax/parser.h"
 #include "views/engine.h"
 #include "workload/discrepancy_gen.h"
@@ -389,6 +395,312 @@ TEST(ColumnarFallbacks, FlatRelationsNeverFallBack) {
   auto again = EvaluateQuery(universe, *query, nested, nullptr, nullptr);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(activations->value(), activations_mid);
+}
+
+// ---- Relation variables: `.db.R(…)` on columnar pages ----------------------
+
+// Everything one enumeration shows its caller: each emitted substitution in
+// emission order, the final status, and the attribute-name count.
+struct Enumeration {
+  std::vector<std::string> emitted;
+  std::string status;
+  uint64_t attrs_enumerated = 0;
+};
+
+Enumeration Enumerate(const Value& universe, const std::string& text,
+                      EvalSubstrate substrate, size_t stop_after = 0) {
+  auto query = ParseQuery(text);
+  EXPECT_TRUE(query.ok()) << text;
+  Enumeration out;
+  if (!query.ok()) return out;
+  EvalOptions options;
+  options.substrate = substrate;
+  EvalStats stats;
+  Result<bool> r = EnumerateBindings(
+      universe, query->conjuncts, options, &stats,
+      [&](const Substitution& sigma) {
+        std::string row;
+        for (const auto& b : sigma.bindings()) {
+          row += b.var + "=" + ToString(b.value) + " ";
+        }
+        out.emitted.push_back(std::move(row));
+        return stop_after == 0 || out.emitted.size() < stop_after;
+      });
+  out.status = r.ok() ? (*r ? "done" : "stopped") : r.status().ToString();
+  out.attrs_enumerated = stats.attrs_enumerated;
+  return out;
+}
+
+// Columnar and nested substrates must agree on every emission (order
+// included), on the error and the point it surfaces, and on how many
+// attribute names the relation variable tried.
+void ExpectSubstratesAgree(const Value& universe, const std::string& text,
+                           size_t stop_after = 0) {
+  SCOPED_TRACE(text);
+  Enumeration columnar =
+      Enumerate(universe, text, EvalSubstrate::kColumnar, stop_after);
+  Enumeration nested =
+      Enumerate(universe, text, EvalSubstrate::kNested, stop_after);
+  EXPECT_EQ(columnar.emitted, nested.emitted);
+  EXPECT_EQ(columnar.status, nested.status);
+  EXPECT_EQ(columnar.attrs_enumerated, nested.attrs_enumerated);
+}
+
+uint64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global().counter(name)->value();
+}
+
+// `lead` holds, in field order: an empty relation, an atom, a tuple, and
+// three flat relations of 40 rows (past the 32-row indexing threshold, so
+// equality items probe column indexes) whose `name` column repeats the
+// relation names. Only the second and third have rows with k = 0. `names.n` binds a relation variable to a name of a set,
+// a missing name, a non-string and a non-set field. `mix` has one
+// non-flat relation between two flat ones.
+Value RelationVariableUniverse() {
+  Value lead = Value::EmptyTuple();
+  lead.SetField("a", Value::EmptySet());
+  lead.SetField("b", Value::Int(7));
+  lead.SetField("c", Row({{"k", Value::Int(1)}}));
+  const char* rels[] = {"d", "e", "f"};
+  for (size_t r = 0; r < 3; ++r) {
+    Value set = Value::EmptySet();
+    for (int64_t i = 0; i < 40; ++i) {
+      int64_t k = r == 0 ? 1 + i % 9 : (i + int64_t(r)) % 10;
+      set.Insert(Row({{"k", Value::Int(k)},
+                      {"v", Value::Int(10 * i + int64_t(r))},
+                      {"name", Value::String(rels[(i + r) % 3])}}));
+    }
+    lead.SetField(rels[r], std::move(set));
+  }
+
+  Value names = Value::EmptySet();
+  names.Insert(Row({{"rel", Value::String("e")}}));
+  names.Insert(Row({{"rel", Value::String("zz")}}));
+  names.Insert(Row({{"rel", Value::Int(5)}}));
+  names.Insert(Row({{"rel", Value::String("b")}}));
+  names.Insert(Row({{"rel", Value::String("d")}}));
+
+  Value mix = Value::EmptyTuple();
+  Value flat = Value::EmptySet();
+  flat.Insert(Row({{"k", Value::Int(1)}}));
+  flat.Insert(Row({{"k", Value::Int(2)}}));
+  Value hetero = Value::EmptySet();
+  hetero.Insert(Row({{"k", Value::Int(1)}}));
+  hetero.Insert(Row({{"j", Value::Int(2)}}));
+  mix.SetField("a", flat);
+  mix.SetField("h", std::move(hetero));
+  mix.SetField("z", flat);
+
+  Value universe = Value::EmptyTuple();
+  universe.SetField("lead", std::move(lead));
+  universe.SetField("names", Row({{"n", std::move(names)}}));
+  universe.SetField("mix", std::move(mix));
+  return universe;
+}
+
+TEST(ColumnarRelationVariable, UnboundVisitsEveryRelationInFieldOrder) {
+  Value universe = RelationVariableUniverse();
+  // Empty relations, an atom and a tuple among the fields: counted as
+  // enumerated attribute names, matching nothing.
+  ExpectSubstratesAgree(universe, "?.lead.R(.k=K, .v=V)");
+  ExpectSubstratesAgree(universe, "?.lead.R(.k=3, .v=V)");  // index probe
+  ExpectSubstratesAgree(universe, "?.lead.R(.v>300)");
+  ExpectSubstratesAgree(universe, "?.lead.R(.missing=M)");
+  ExpectSubstratesAgree(universe, "?.lead.R(.k=K), .lead.R(.v=K)");
+  ExpectSubstratesAgree(universe, "?.nodb.R(.k=K)");
+  ExpectSubstratesAgree(universe, "?.lead.c.R(.k=K)");  // not a tuple of sets
+
+  Counter* activations =
+      MetricsRegistry::Global().counter("columnar.vector_activations");
+  uint64_t before = activations->value();
+  Enumeration e =
+      Enumerate(universe, "?.lead.R(.k=K, .v=V)", EvalSubstrate::kColumnar);
+  EXPECT_EQ(e.emitted.size(), 120u);
+  EXPECT_EQ(e.attrs_enumerated, 6u);  // a, b, c, d, e, f
+  EXPECT_EQ(activations->value() - before, 1u);
+}
+
+TEST(ColumnarRelationVariable, BoundVariableVisitsOnlyTheNamedField) {
+  Value universe = RelationVariableUniverse();
+  // names.n binds R to "e" (a set), "zz" (absent), 5 (not a string), "b"
+  // (an atom) and "d" (a set): only the two sets match, and a bound
+  // variable enumerates no attribute names.
+  ExpectSubstratesAgree(universe, "?.names.n(.rel=R), .lead.R(.k=2, .v=V)");
+  Enumeration e = Enumerate(universe, "?.names.n(.rel=R), .lead.R(.k=2)",
+                            EvalSubstrate::kColumnar);
+  EXPECT_EQ(e.emitted.size(), 9u);  // 4 rows with k=2 in e, then 5 in d
+  EXPECT_EQ(e.attrs_enumerated, 0u);
+}
+
+TEST(ColumnarRelationVariable, VariableReusedInsideTheItems) {
+  Value universe = RelationVariableUniverse();
+  // The relation's name filters its own `name` column.
+  ExpectSubstratesAgree(universe, "?.lead.S(.name=S)");
+  ExpectSubstratesAgree(universe, "?.lead.S(.name=S, .k=K)");
+  ExpectSubstratesAgree(universe, "?.lead.S(.name!=S, .v<100)");
+  Enumeration e =
+      Enumerate(universe, "?.lead.S(.name=S, .k=K)", EvalSubstrate::kColumnar);
+  EXPECT_GT(e.emitted.size(), 0u);
+  EXPECT_LT(e.emitted.size(), 120u);
+}
+
+TEST(ColumnarRelationVariable, ErrorsSurfaceAtTheWrittenPoint) {
+  Value universe = RelationVariableUniverse();
+  // X is unbound under `<`: the empty relation and the non-sets before the
+  // first relation with a row raise nothing; the first row raises.
+  ExpectSubstratesAgree(universe, "?.lead.R(.v<X)");
+  Enumeration e =
+      Enumerate(universe, "?.lead.R(.v<X)", EvalSubstrate::kColumnar);
+  EXPECT_NE(e.status.find("variable X is unbound"), std::string::npos)
+      << e.status;
+  // No row survives `.k=11`, so the erroring item is never reached.
+  ExpectSubstratesAgree(universe, "?.lead.R(.k=11, .v<X)");
+  EXPECT_EQ(Enumerate(universe, "?.lead.R(.k=11, .v<X)",
+                      EvalSubstrate::kColumnar)
+                .status,
+            "done");
+  // Rows of earlier relations emit before a later one divides by zero.
+  ExpectSubstratesAgree(universe, "?.lead.R(.k=K, .v=V), V > 10 / K");
+  Enumeration divided = Enumerate(universe, "?.lead.R(.k=K, .v=V), V > 10 / K",
+                                  EvalSubstrate::kColumnar);
+  EXPECT_GT(divided.emitted.size(), 0u);
+  EXPECT_NE(divided.status.find("division by zero"), std::string::npos)
+      << divided.status;
+  // Arithmetic on the relation name itself.
+  ExpectSubstratesAgree(universe, "?.lead.R(.v=V, .k>R+1)");
+}
+
+TEST(ColumnarRelationVariable, NonFlatRelationSendsTheWholeActivationBack) {
+  Value universe = RelationVariableUniverse();
+  Counter* fallbacks =
+      MetricsRegistry::Global().counter("columnar.nonflat_fallbacks");
+  Counter* activations =
+      MetricsRegistry::Global().counter("columnar.vector_activations");
+  uint64_t fallbacks_before = fallbacks->value();
+  uint64_t activations_before = activations->value();
+  Enumeration e = Enumerate(universe, "?.mix.R(.k=K)", EvalSubstrate::kColumnar);
+  // One fallback for the activation, no vectorized rows, and every row
+  // emitted once: a (2), h (1), z (2).
+  EXPECT_EQ(fallbacks->value() - fallbacks_before, 1u);
+  EXPECT_EQ(activations->value() - activations_before, 0u);
+  EXPECT_EQ(e.emitted.size(), 5u);
+  ExpectSubstratesAgree(universe, "?.mix.R(.k=K)");
+  // Bound to a flat relation of the same database, it stays vectorized.
+  fallbacks_before = fallbacks->value();
+  ExpectSubstratesAgree(universe, "?.names.n(.rel=R), .mix.R(.k=K)");
+  EXPECT_EQ(fallbacks->value(), fallbacks_before);
+}
+
+TEST(ColumnarRelationVariable, EarlyStopAndRowCap) {
+  Value universe = RelationVariableUniverse();
+  for (size_t stop : {1u, 39u, 40u, 41u, 100u}) {
+    ExpectSubstratesAgree(universe, "?.lead.R(.k=K, .v=V)", stop);
+  }
+  auto query = ParseQuery("?.lead.R(.k=K, .v=V)");
+  ASSERT_TRUE(query.ok());
+  EvalOptions columnar;
+  columnar.max_rows = 45;
+  EvalOptions nested = columnar;
+  nested.substrate = EvalSubstrate::kNested;
+  auto a = EvaluateQuery(universe, *query, columnar);
+  auto b = EvaluateQuery(universe, *query, nested);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->rows.size(), 45u);
+  EXPECT_EQ(a->ToTable(), b->ToTable());
+}
+
+// The paper's higher-order queries (§4.3) over Figure 1, including
+// relation variables joined against attribute variables and first-order
+// relations, and errors raised after a relation variable has bound.
+TEST(ColumnarRelationVariable, PaperHigherOrderQueries) {
+  Value paper = MakePaperUniverse().universe;
+  for (const char* text : {
+           "?.chwab.r(.S>200)",
+           "?.ource.S(.clsPrice>200)",
+           "?.ource.S(.date=D, .clsPrice=P)",
+           "?.chwab.r(.date=D,.S=P), .ource.S(.date=D,.clsPrice=P)",
+           "?.ource.S(.date=D,.clsPrice=P), "
+           ".euter.r(.stkCode=S,.date=D,.clsPrice=P)",
+           "?.euter.r(.stkCode=S,.date=D,.clsPrice=P), "
+           ".ource.S(.date=D,.clsPrice=P)",
+           "?.ource.S(.date=D,.clsPrice=P), P > P / 0",
+           "?.chwab.r(.date=D,.S=P), P > P / 0",
+       }) {
+    ExpectSubstratesAgree(paper, text);
+  }
+
+  Value stock = BuildStockUniverse(
+      GenerateStockWorkload({.num_stocks = 10, .num_days = 30, .seed = 11}));
+  ExpectSubstratesAgree(stock, "?.ource.S(.date=D, .clsPrice=P), P > 100");
+  ExpectSubstratesAgree(
+      stock, "?.euter.r(.stkCode=stk3, .date=D), .ource.S(.date=D)");
+
+  // A guard dividing by a bound value over data that contains a zero, and
+  // non-numeric arithmetic: the same error after the same emissions.
+  Value universe = Value::EmptyTuple();
+  Value rel = Value::EmptySet();
+  for (int i = 4; i >= 0; --i) {
+    rel.Insert(Row({{"k", Value::Int(i)}, {"tag", Value::String("x")}}));
+  }
+  universe.SetField("d", Row({{"r", std::move(rel)}}));
+  ExpectSubstratesAgree(universe, "?.d.R(.k=K,.tag=T), K > 10 / K");
+  ExpectSubstratesAgree(universe, "?.d.R(.k=K,.tag=T), K > T + 1");
+}
+
+// The paper's `ource` rule materializes on columnar pages under every
+// strategy and maintenance mode, with the nested substrate's answers and
+// write counters.
+TEST(ColumnarRelationVariable, OurceRuleMaterializesOnPages) {
+  for (EvalStrategy strategy :
+       {EvalStrategy::kNaive, EvalStrategy::kSemiNaive}) {
+    for (MaintenanceMode maintenance :
+         {MaintenanceMode::kIncremental, MaintenanceMode::kRematerialize}) {
+      SCOPED_TRACE(testing::Message()
+                   << "strategy=" << static_cast<int>(strategy)
+                   << " maintenance=" << static_cast<int>(maintenance));
+      std::string tables[2];
+      uint64_t facts[2] = {0, 0};
+      uint64_t activations[2] = {0, 0};
+      const EvalSubstrate substrates[2] = {EvalSubstrate::kColumnar,
+                                           EvalSubstrate::kNested};
+      for (int i = 0; i < 2; ++i) {
+        MetricsRegistry::Global().Reset();
+        Session session;
+        EvalOptions materialize;
+        materialize.strategy = strategy;
+        materialize.maintenance = maintenance;
+        materialize.substrate = substrates[i];
+        materialize.materialize_parallelism = 1;
+        session.set_materialize_options(materialize);
+        PaperUniverse paper = MakePaperUniverse();
+        for (const auto& field : paper.universe.fields()) {
+          ASSERT_TRUE(session.RegisterDatabase(field.name, field.value).ok());
+        }
+        ASSERT_TRUE(session
+                        .DefineRule(".dbI.p(.date=D, .stk=S, .clsPrice=P) <- "
+                                    ".ource.S(.date=D, .clsPrice=P)")
+                        .ok());
+        EvalOptions request;
+        request.substrate = substrates[i];
+        const char* unified = "?.dbI.p(.date=D, .stk=S, .clsPrice=P)";
+        auto before = session.Query(unified, request);
+        ASSERT_TRUE(before.ok()) << before.status().ToString();
+        auto u = session.Update("?.ource.hp+(.date=3/5/1985, .clsPrice=321)",
+                                request);
+        ASSERT_TRUE(u.ok()) << u.status().ToString();
+        auto after = session.Query(unified, request);
+        ASSERT_TRUE(after.ok()) << after.status().ToString();
+        tables[i] = before->ToTable() + after->ToTable();
+        facts[i] = CounterValue("engine.facts_derived");
+        activations[i] = CounterValue("columnar.vector_activations");
+        EXPECT_EQ(CounterValue("columnar.nonflat_fallbacks"), 0u);
+      }
+      EXPECT_EQ(tables[0], tables[1]);
+      EXPECT_EQ(facts[0], facts[1]);
+      EXPECT_GT(activations[0], 0u);
+      EXPECT_EQ(activations[1], 0u);
+    }
+  }
 }
 
 // The absorb key spans every constrained, constant-named head attribute,

@@ -145,61 +145,46 @@ TEST(ExplainFormatTest, AnalyzeTable) {
   r1.substitutions = 9;
   r1.enumerate_ms = 0.75;
   r1.write_ms = 0.25;
-  // A cost-planned rule: plan time is its own phase column, and the plan
-  // itself (order, specializations, est-vs-actual cardinality, fallbacks)
-  // renders as a "plan:" line between the table and the trailer.
-  r1.plan_ms = 0.05;
-  r1.planned = true;
-  r1.plan_est_rows = 16;
-  r1.plan_actual_rows = 9;
-  r1.plan_summary = "order=[1 0] spec=[0:S*4]";
   s1.rule_timings.push_back(r1);
 
   // Per-stratum rows carry wall/cpu; their per-rule rows carry the phase
   // split; the totals row sums the strata; the trailer reports the
-  // materialization's own end-to-end clock next to the strata sum, with
-  // planner time attributed separately (never folded into enumerate).
+  // materialization's own end-to-end clock next to the strata sum.
   EXPECT_EQ(FormatAnalyze({s0, s1}, 1.6, 1.45),
-            "stratum  rule   head  passes  subs  plan_ms  enum_ms  write_ms"
-            "  wall_ms  cpu_ms\n"
-            "-------  ----  -----  ------  ----  -------  -------  --------"
-            "  -------  ------\n"
-            "      0     -      -       1    36        -        -         -"
-            "     0.50    0.45\n"
-            "      0     0  dbI.p       1    36     0.00     0.25      0.20"
-            "        -       -\n"
-            "      1     -      -       3     9        -        -         -"
-            "     1.00    1.00\n"
-            "      1     1      *       3     9     0.05     0.75      0.25"
-            "        -       -\n"
-            "  total     -      -                                          "
-            "     1.50    1.45\n"
-            "plan: rule=1 order=[1 0] spec=[0:S*4] est=16 actual=9 "
-            "fallback=no\n"
-            "analyze: wall=1.60ms cpu=1.45ms strata_wall=1.50ms "
-            "plan=0.05ms\n");
+            "stratum  rule   head  passes  subs  enum_ms  write_ms  wall_ms"
+            "  cpu_ms\n"
+            "-------  ----  -----  ------  ----  -------  --------  -------"
+            "  ------\n"
+            "      0     -      -       1    36        -         -     0.50"
+            "    0.45\n"
+            "      0     0  dbI.p       1    36     0.25      0.20        -"
+            "       -\n"
+            "      1     -      -       3     9        -         -     1.00"
+            "    1.00\n"
+            "      1     1      *       3     9     0.75      0.25        -"
+            "       -\n"
+            "  total     -      -                                      1.50"
+            "    1.45\n"
+            "analyze: wall=1.60ms cpu=1.45ms strata_wall=1.50ms\n");
 
   // The masked form every golden transcript pins: timing cells and trailer
-  // values become "-", counts stay — including the plan line's est/actual,
-  // which are deterministic emission counts, not timings.
+  // values become "-", counts stay.
   EXPECT_EQ(FormatAnalyze({s0, s1}, 1.6, 1.45, /*mask_timings=*/true),
-            "stratum  rule   head  passes  subs  plan_ms  enum_ms  write_ms"
-            "  wall_ms  cpu_ms\n"
-            "-------  ----  -----  ------  ----  -------  -------  --------"
-            "  -------  ------\n"
-            "      0     -      -       1    36        -        -         -"
-            "        -       -\n"
-            "      0     0  dbI.p       1    36        -        -         -"
-            "        -       -\n"
-            "      1     -      -       3     9        -        -         -"
-            "        -       -\n"
-            "      1     1      *       3     9        -        -         -"
-            "        -       -\n"
-            "  total     -      -                                          "
-            "        -       -\n"
-            "plan: rule=1 order=[1 0] spec=[0:S*4] est=16 actual=9 "
-            "fallback=no\n"
-            "analyze: wall=- cpu=- strata_wall=- plan=-\n");
+            "stratum  rule   head  passes  subs  enum_ms  write_ms  wall_ms"
+            "  cpu_ms\n"
+            "-------  ----  -----  ------  ----  -------  --------  -------"
+            "  ------\n"
+            "      0     -      -       1    36        -         -        -"
+            "       -\n"
+            "      0     0  dbI.p       1    36        -         -        -"
+            "       -\n"
+            "      1     -      -       3     9        -         -        -"
+            "       -\n"
+            "      1     1      *       3     9        -         -        -"
+            "       -\n"
+            "  total     -      -                                         -"
+            "       -\n"
+            "analyze: wall=- cpu=- strata_wall=-\n");
 }
 
 TEST(ExplainFormatTest, TraceRenderings) {
@@ -289,19 +274,14 @@ TEST(ExplainFormatTest, ModePointLabels) {
   // Mode labels appear in mismatch reports and shrunk repro scripts; the
   // lattice order (reference first) is part of the sweep's contract.
   std::vector<ModePoint> lattice = FullModeLattice();
-  ASSERT_EQ(lattice.size(), 40u);
+  ASSERT_EQ(lattice.size(), 24u);
   EXPECT_EQ(lattice[0].Label(), "naive/remat/direct/plain");
   EXPECT_EQ(lattice[1].Label(), "naive/remat/direct/gov");
   EXPECT_EQ(lattice[2].Label(), "naive/remat/fed+faults/plain");
-  // The naive oracle points stay written-order; every semi-naive point is
-  // immediately followed by its cost-planned twin.
-  EXPECT_EQ(lattice[8].Label(), "semi/remat/direct/plain");
-  EXPECT_EQ(lattice[9].Label(), "semi/remat/direct/plain/plan");
-  EXPECT_EQ(lattice[38].Label(), "semi-par/inc/fed+faults/gov");
-  EXPECT_EQ(lattice[39].Label(), "semi-par/inc/fed+faults/gov/plan");
+  EXPECT_EQ(lattice[23].Label(), "semi-par/inc/fed+faults/gov");
   std::set<std::string> labels;
   for (const ModePoint& mode : lattice) labels.insert(mode.Label());
-  EXPECT_EQ(labels.size(), 40u) << "mode labels collide";
+  EXPECT_EQ(labels.size(), 24u) << "mode labels collide";
 
   ModePoint fed_no_faults;
   fed_no_faults.federated = true;

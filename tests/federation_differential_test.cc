@@ -151,11 +151,10 @@ TEST(FederationDifferential, CorpusTranscriptsMatchDirectSession) {
     // Honor the governor directive exactly like golden_corpus_test: the
     // corpus deliberately contains a divergent script
     // (governor_divergent.idl) that only terminates under a pass budget.
+    Result<int> max_passes = MaxPassesDirective(script);
+    ASSERT_TRUE(max_passes.ok()) << max_passes.status().ToString();
     EvalOptions options;
-    if (size_t at = script.find("% max-passes:"); at != std::string::npos) {
-      options.max_passes =
-          std::atoi(script.c_str() + at + sizeof("% max-passes:") - 1);
-    }
+    options.max_passes = *max_passes;
 
     std::string direct =
         RunScript(script, name_mappings, options, /*federate=*/false);

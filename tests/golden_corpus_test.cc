@@ -311,17 +311,14 @@ TEST(GoldenCorpus, ScriptsMatchGoldens) {
     std::string script = ReadFile(script_path);
     bool name_mappings =
         script.find("% universe: name-mappings") != std::string::npos;
-    int max_passes = 0;
-    if (size_t at = script.find("% max-passes:"); at != std::string::npos) {
-      max_passes =
-          std::atoi(script.c_str() + at + sizeof("% max-passes:") - 1);
-    }
+    Result<int> max_passes = MaxPassesDirective(script);
+    ASSERT_TRUE(max_passes.ok()) << max_passes.status().ToString();
 
     const size_t server_sessions = ServerSessionsDirective(script);
     const bool wal = script.find("% wal:") != std::string::npos;
 
     EvalOptions semi;  // defaults: kSemiNaive, auto parallelism, incremental
-    semi.max_passes = max_passes;
+    semi.max_passes = *max_passes;
     if (script.find("% maintenance: rematerialize") != std::string::npos) {
       semi.maintenance = MaintenanceMode::kRematerialize;
     }
@@ -337,7 +334,7 @@ TEST(GoldenCorpus, ScriptsMatchGoldens) {
 
     EvalOptions naive;
     naive.strategy = EvalStrategy::kNaive;
-    naive.max_passes = max_passes;
+    naive.max_passes = *max_passes;
     std::string oracle = run(naive);
     EXPECT_EQ(transcript, oracle)
         << "semi-naive and naive transcripts diverge";
@@ -364,16 +361,6 @@ TEST(GoldenCorpus, ScriptsMatchGoldens) {
     std::string tuple_at_a_time = run(nested);
     EXPECT_EQ(transcript, tuple_at_a_time)
         << "columnar and nested substrate transcripts diverge";
-
-    // And under the cost-based planner: conjunct reordering, sideways
-    // information passing and higher-order specialization (src/planner/)
-    // must be transcript-invisible on the whole corpus — answers, write
-    // counts and error timing all byte-identical to written order.
-    EvalOptions planned = semi;
-    planned.planner = PlannerMode::kCostBased;
-    std::string cost_planned = run(planned);
-    EXPECT_EQ(transcript, cost_planned)
-        << "cost-based planner and written-order transcripts diverge";
 
     // A server script additionally runs single-session: concurrency must not
     // change any answer, so only the session count in the header/trailer

@@ -235,5 +235,36 @@ TEST(Server, RegisterDatabaseAfterPublishRepublishes) {
   EXPECT_EQ(read->rows.size(), 12u);
 }
 
+// A relation-name scan (§4.3, `.ource.S(…)`) reads the epoch's shared
+// column pages: repeating it on one epoch builds no index at all and runs
+// vectorized.
+TEST(Server, RelationVariableScanReusesEpochPages) {
+  StockWorkload w = GenerateStockWorkload(
+      {.num_stocks = 16, .num_days = 40, .seed = 7});
+  Server server;
+  Value universe = BuildStockUniverse(w);
+  for (const auto& field : universe.fields()) {
+    Status st = server.RegisterDatabase(field.name, field.value);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  auto session = server.Connect();
+  ASSERT_TRUE(session.ok());
+  const std::string text =
+      "?.ource.S(.date=" + w.dates[3].ToString() + ", .clsPrice=P)";
+  auto first = session->Query(text);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->rows.size(), 16u);
+
+  Counter* activations =
+      MetricsRegistry::Global().counter("columnar.vector_activations");
+  const uint64_t built = session->stats().indexes_built;
+  const uint64_t vectorized = activations->value();
+  auto second = session->Query(text);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->ToTable(), first->ToTable());
+  EXPECT_EQ(session->stats().indexes_built - built, 0u);
+  EXPECT_GT(activations->value() - vectorized, 0u);
+}
+
 }  // namespace
 }  // namespace idl

@@ -42,7 +42,7 @@ TEST(WorkloadStress, ScaledSweepAcrossFullLattice) {
   std::cout << FormatSweepReport(report);
   EXPECT_TRUE(report.ok()) << Describe(report);
   EXPECT_EQ(report.universes, 16u);
-  EXPECT_EQ(report.modes, 40u);  // 24 base + 16 cost-planned semi-naive
+  EXPECT_EQ(report.modes, 24u);
   EXPECT_EQ(report.steps, 16u * 12u);
   EXPECT_EQ(report.fallbacks, 0u) << "incremental maintenance regressed";
 }
