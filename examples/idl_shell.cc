@@ -522,7 +522,12 @@ int main(int argc, char** argv) {
   }
 
   if (!server_flag_given) {
-    server_sessions = static_cast<int>(idl::ServerSessionsDirective(script));
+    idl::Result<size_t> sessions = idl::ServerSessionsDirective(script);
+    if (!sessions.ok()) {
+      std::printf("bad directive: %s\n", sessions.status().ToString().c_str());
+      return 1;
+    }
+    server_sessions = static_cast<int>(*sessions);
   }
   if (server_sessions > 0) {
     // Concurrent scripted sessions against one in-process server

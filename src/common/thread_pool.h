@@ -7,8 +7,8 @@
 //
 // Each task is handed a dense *worker slot* id: 0 for the calling thread
 // (which participates in the batch), 1..num_workers() for pool threads.
-// Callers use the slot to address per-worker scratch (e.g. a SetIndexCache)
-// without synchronization.
+// Callers use the slot to address per-worker scratch buffers without
+// synchronization.
 
 #ifndef IDL_COMMON_THREAD_POOL_H_
 #define IDL_COMMON_THREAD_POOL_H_

@@ -1,7 +1,10 @@
 #include "eval/matcher.h"
 
 #include "common/str_util.h"
+#include "common/trace.h"
+#include "object/set_cache.h"
 #include "object/value_io.h"
+#include "relational/columnar.h"
 #include "syntax/printer.h"
 
 namespace idl {
@@ -34,6 +37,26 @@ int CompareAtoms(const Value& a, const Value& b) {
     return !a.as_bool() ? -1 : 1;
   }
   return kUnordered;
+}
+
+// The equality index over `attr`: element positions by the normalized hash
+// of their `attr` value. Positions are pushed in element order, so the
+// indexed path visits candidates exactly as a scan would (the columnar
+// substrate relies on this for transcript identity).
+SetCache::AttrIndex BuildAttrIndex(const Value& set, std::string_view attr) {
+  // A build walks the whole set, so it is worth a span; probes answered by
+  // a built index are far too hot to trace (they show up as counters only).
+  TraceSpan span("index.build",
+                 StrCat("attr=", attr, " elements=", set.SetSize()));
+  SetCache::AttrIndex index;
+  const auto& elements = set.elements();
+  for (uint32_t i = 0; i < elements.size(); ++i) {
+    if (!elements[i].is_tuple()) continue;
+    const Value* field = elements[i].FindField(attr);
+    if (field == nullptr || field->is_null()) continue;
+    index[NormalizedCellHash(*field)].push_back(i);
+  }
+  return index;
 }
 
 }  // namespace
@@ -380,35 +403,32 @@ Result<bool> Matcher::MatchSet(const Value& value, const Expr& expr,
   static const Expr& kEpsilon = *new Expr();
   const Expr& inner = expr.set_inner ? *expr.set_inner : kEpsilon;
 
-  // Fast path: probe an equality index instead of scanning, when a cache is
-  // available and the inner expression pins some attribute to a ground
-  // value. Candidates are verified by the full match, so hash collisions
-  // and cross-kind equality are handled exactly as in the scan path.
-  if (index_cache_ != nullptr) {
-    std::string_view attr;
-    Value probe_value;
-    if (FindProbe(inner, *sigma, &attr, &probe_value)) {
-      std::vector<uint32_t> candidates;
-      uint64_t built_before = index_cache_->indexes_built();
-      if (index_cache_->Probe(value, attr, probe_value, &candidates)) {
-        ++stats_->index_probes;
-        if (index_cache_->indexes_built() != built_before) {
-          ++stats_->indexes_built;
-        } else {
-          ++stats_->indexes_reused;
-        }
-        const auto& elements = value.elements();
-        for (uint32_t i : candidates) {
-          ++stats_->set_elements_scanned;
-          size_t mark = sigma->Mark();
-          Result<bool> r = Match(elements[i], inner, sigma, cb);
-          sigma->RollbackTo(mark);
-          if (!r.ok()) return r.status();
-          if (!*r) return false;
-        }
-        return true;
-      }
+  // Fast path: probe an equality index instead of scanning, when the set
+  // is large enough and the inner expression pins some attribute to a
+  // ground value. Candidates are verified by the full match, so hash
+  // collisions and cross-kind equality are handled exactly as in the scan
+  // path.
+  std::string_view attr;
+  Value probe_value;
+  if (value.SetSize() >= index_min_set_size_ &&
+      FindProbe(inner, *sigma, &attr, &probe_value)) {
+    bool built = false;
+    const SetCache::AttrIndex& index = value.set_cache().GetIndex(
+        attr, [&] { return BuildAttrIndex(value, attr); }, &built);
+    ++stats_->index_probes;
+    ++(built ? stats_->indexes_built : stats_->indexes_reused);
+    auto candidates = index.find(NormalizedCellHash(probe_value));
+    if (candidates == index.end()) return true;
+    const auto& elements = value.elements();
+    for (uint32_t i : candidates->second) {
+      ++stats_->set_elements_scanned;
+      size_t mark = sigma->Mark();
+      Result<bool> r = Match(elements[i], inner, sigma, cb);
+      sigma->RollbackTo(mark);
+      if (!r.ok()) return r.status();
+      if (!*r) return false;
     }
+    return true;
   }
 
   for (const auto& element : value.elements()) {

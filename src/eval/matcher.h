@@ -23,13 +23,13 @@
 #ifndef IDL_EVAL_MATCHER_H_
 #define IDL_EVAL_MATCHER_H_
 
+#include <cstdint>
 #include <functional>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "eval/explain.h"
-#include "eval/index.h"
 #include "eval/substitution.h"
 #include "syntax/ast.h"
 
@@ -40,10 +40,13 @@ using MatchCallback = std::function<bool(const Substitution&)>;
 
 class Matcher {
  public:
-  // `index_cache` (optional) accelerates equality probes into large sets;
-  // it must only be supplied while the matched universe is immutable.
-  explicit Matcher(EvalStats* stats, SetIndexCache* index_cache = nullptr)
-      : stats_(stats), index_cache_(index_cache) {}
+  // A set of at least `index_min_set_size` elements answers an equality
+  // probe from its index over the probed attribute, kept in its cache slot
+  // (Value::set_cache) and built on the first probe. Smaller sets, and
+  // every set under kScanOnly, are scanned.
+  static constexpr size_t kScanOnly = SIZE_MAX;
+  explicit Matcher(EvalStats* stats, size_t index_min_set_size = kScanOnly)
+      : stats_(stats), index_min_set_size_(index_min_set_size) {}
 
   // Enumerates satisfying extensions; the result is false if enumeration was
   // stopped early by the callback, true otherwise. Update-marked expressions
@@ -89,7 +92,7 @@ class Matcher {
                         std::string_view* attr, Value* value);
 
   EvalStats* stats_;
-  SetIndexCache* index_cache_;
+  size_t index_min_set_size_;
   // An error raised inside a nested enumeration callback is parked here and
   // re-raised once the enumeration unwinds.
   Status nested_error_;

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "common/str_util.h"
-#include "eval/index.h"
 #include "eval/matcher.h"
 #include "eval/substitution.h"
 #include "eval/vector_exec.h"
@@ -73,12 +72,11 @@ struct ConjunctChain {
   const ResourceGovernor* governor;
   Status error;
   // Columnar substrate (null under EvalSubstrate::kNested): per-conjunct
-  // vector plans parallel to `conjuncts`, plus the page cache/store the
-  // executor reads. Vectorized and matched conjuncts interleave freely —
-  // emission happens through the same Step recursion either way, so
-  // checkpoint counts and substitution order are substrate-independent.
+  // vector plans parallel to `conjuncts`. Vectorized and matched conjuncts
+  // interleave freely — emission happens through the same Step recursion
+  // either way, so checkpoint counts and substitution order are
+  // substrate-independent.
   const std::vector<std::optional<VectorConjunctPlan>>* plans = nullptr;
-  SetIndexCache* page_cache = nullptr;
   const EvalOptions* options = nullptr;
   EvalStats* stats = nullptr;
 
@@ -98,8 +96,7 @@ struct ConjunctChain {
     if (plans != nullptr && (*plans)[index].has_value()) {
       bool fell_back = false;
       Result<bool> r = ExecuteVectorConjunct(
-          *(*plans)[index], *source.universe, page_cache,
-          options->columnar_store, options->use_indexes,
+          *(*plans)[index], *source.universe, options->use_indexes,
           options->index_min_set_size, stats, sigma,
           [&] { return Step(index + 1, sigma); }, &fell_back);
       if (!fell_back) {
@@ -136,33 +133,25 @@ GovernorLimits GovernorLimitsFrom(const EvalOptions& options) {
 
 Result<bool> EnumerateBindingsOver(
     const std::vector<ConjunctSource>& conjuncts, const EvalOptions& options,
-    EvalStats* stats, SetIndexCache* index_cache,
-    const std::function<bool(const Substitution&)>& cb,
+    EvalStats* stats, const std::function<bool(const Substitution&)>& cb,
     const ResourceGovernor* governor) {
   EvalStats local_stats;
   if (stats == nullptr) stats = &local_stats;
 
+  // Conjuncts carrying negation anywhere (top level or nested inside a set
+  // expression) run after all purely positive conjuncts, so their
+  // variables are bound.
   std::vector<ConjunctSource> ordered;
   ordered.reserve(conjuncts.size());
-  if (options.defer_negation) {
-    // Conjuncts carrying negation anywhere (top level or nested inside a
-    // set expression) run after all purely positive conjuncts, so their
-    // variables are bound.
-    for (const auto& c : conjuncts) {
-      if (!ContainsNegation(*c.expr)) ordered.push_back(c);
-    }
-    for (const auto& c : conjuncts) {
-      if (ContainsNegation(*c.expr)) ordered.push_back(c);
-    }
-  } else {
-    ordered = conjuncts;
+  for (const auto& c : conjuncts) {
+    if (!ContainsNegation(*c.expr)) ordered.push_back(c);
+  }
+  for (const auto& c : conjuncts) {
+    if (ContainsNegation(*c.expr)) ordered.push_back(c);
   }
 
-  SetIndexCache local_cache(options.index_min_set_size);
-  SetIndexCache* cache = index_cache;
-  if (cache == nullptr && options.use_indexes) cache = &local_cache;
-
-  Matcher matcher(stats, options.use_indexes ? cache : nullptr);
+  Matcher matcher(stats, options.use_indexes ? options.index_min_set_size
+                                             : Matcher::kScanOnly);
   Substitution sigma;
   ConjunctChain chain{&ordered, &matcher, &cb, governor, Status::Ok()};
 
@@ -180,9 +169,6 @@ Result<bool> EnumerateBindingsOver(
     }
     if (any) {
       chain.plans = &plans;
-      // Page memoization needs a cache even when equality indexes are
-      // ablated (pages are storage, not an index).
-      chain.page_cache = index_cache != nullptr ? index_cache : &local_cache;
       chain.options = &options;
       chain.stats = stats;
     }
@@ -197,20 +183,18 @@ Result<bool> EnumerateBindings(
     const Value& universe, const std::vector<ExprPtr>& conjuncts,
     const EvalOptions& options, EvalStats* stats,
     const std::function<bool(const Substitution&)>& cb,
-    const ResourceGovernor* governor, SetIndexCache* index_cache) {
+    const ResourceGovernor* governor) {
   std::vector<ConjunctSource> sources;
   sources.reserve(conjuncts.size());
   for (const auto& c : conjuncts) {
     sources.push_back(ConjunctSource{c.get(), &universe});
   }
-  return EnumerateBindingsOver(sources, options, stats, index_cache, cb,
-                               governor);
+  return EnumerateBindingsOver(sources, options, stats, cb, governor);
 }
 
 Result<Answer> EvaluateQuery(const Value& universe, const Query& query,
                              const EvalOptions& options, EvalStats* stats,
-                             const ResourceGovernor* governor,
-                             SetIndexCache* index_cache) {
+                             const ResourceGovernor* governor) {
   IDL_ASSIGN_OR_RETURN(QueryInfo info, AnalyzeQuery(query));
   if (info.is_update_request) {
     return InvalidArgument(
@@ -252,7 +236,7 @@ Result<Answer> EvaluateQuery(const Value& universe, const Query& query,
         }
         return true;
       },
-      governor, index_cache);
+      governor);
   if (!r.ok()) return r.status();
   return answer;
 }

@@ -76,16 +76,13 @@ enum class EvalSubstrate {
 };
 
 class ColumnarStore;
-class SetIndexCache;
 
 struct EvalOptions {
-  // Move negated conjuncts after all positive ones (keeps left-to-right
-  // binding order safe without requiring the user to order them).
-  bool defer_negation = true;
   // Cap on result rows (0 = unlimited).
   size_t max_rows = 0;
-  // Build equality indexes over large sets for the duration of the
-  // evaluation (ablated by bench_ablation_index).
+  // Probe equality indexes over large sets instead of scanning them; the
+  // indexes are built on first use and kept in each set's cache slot
+  // (Value::set_cache). Ablated by bench_ablation_index.
   bool use_indexes = true;
   // Sets smaller than this are scanned, not indexed.
   size_t index_min_set_size = 32;
@@ -102,9 +99,9 @@ struct EvalOptions {
   MaintenanceMode maintenance = MaintenanceMode::kIncremental;
   // Physical evaluation substrate for flat relations.
   EvalSubstrate substrate = EvalSubstrate::kColumnar;
-  // Pre-built columnar pages for this universe (server epochs share them
-  // across sessions). Null = build pages on demand per index-cache
-  // generation. Ignored under kNested.
+  // Read by nothing in the library: evaluation finds every page in its
+  // set's cache slot, where ColumnarStore::Build attaches epoch pages. Kept
+  // only because perfbench/replay.cc still sets it.
   const ColumnarStore* columnar_store = nullptr;
 
   // ---- Resource-governor budgets (common/governor.h; 0 = unbounded) -------
@@ -130,16 +127,13 @@ GovernorLimits GovernorLimitsFrom(const EvalOptions& options);
 // Evaluates a pure query (no update markers) against `universe`.
 // `stats`, if non-null, accumulates work counters. `governor`, if non-null,
 // is polled at every enumeration step: a cancelled or out-of-budget
-// evaluation unwinds with the governor's abort status.
-// `index_cache`, if non-null, persists set indexes and columnar pages
-// across calls (the caller owns generation invalidation — see
-// eval/index.h); sessions pass their hoisted query cache here so repeated
-// queries over an unchanged universe reuse pages.
+// evaluation unwinds with the governor's abort status. Conjuncts carrying
+// negation run after all positive ones, so their variables are bound
+// whatever order the user wrote them in.
 Result<Answer> EvaluateQuery(const Value& universe, const Query& query,
                              const EvalOptions& options = EvalOptions(),
                              EvalStats* stats = nullptr,
-                             const ResourceGovernor* governor = nullptr,
-                             SetIndexCache* index_cache = nullptr);
+                             const ResourceGovernor* governor = nullptr);
 
 // Evaluates the conjunction and calls back with every satisfying
 // substitution (used by the view engine and the update applier, which need
@@ -148,8 +142,7 @@ Result<bool> EnumerateBindings(
     const Value& universe, const std::vector<ExprPtr>& conjuncts,
     const EvalOptions& options, EvalStats* stats,
     const std::function<bool(const Substitution&)>& cb,
-    const ResourceGovernor* governor = nullptr,
-    SetIndexCache* index_cache = nullptr);
+    const ResourceGovernor* governor = nullptr);
 
 // A body conjunct paired with the universe it reads. Semi-naive evaluation
 // points one conjunct at the (much smaller) delta universe of the previous
@@ -159,15 +152,10 @@ struct ConjunctSource {
   const Value* universe = nullptr;
 };
 
-// Lower-level enumeration: per-conjunct universes and an optional external
-// index cache (persistent across calls; the caller is responsible for
-// generation-invalidating it — see eval/index.h). When `index_cache` is
-// null and options.use_indexes is set, a throwaway per-call cache is used,
-// which is exactly EnumerateBindings' behaviour.
+// Lower-level enumeration with per-conjunct universes.
 Result<bool> EnumerateBindingsOver(
     const std::vector<ConjunctSource>& conjuncts, const EvalOptions& options,
-    EvalStats* stats, SetIndexCache* index_cache,
-    const std::function<bool(const Substitution&)>& cb,
+    EvalStats* stats, const std::function<bool(const Substitution&)>& cb,
     const ResourceGovernor* governor = nullptr);
 
 }  // namespace idl

@@ -223,7 +223,7 @@ Result<bool> RunItems(const VectorConjunctPlan& plan,
     // First `=ground` item over an untouched selection: one hash-bucket
     // probe instead of a scan. Small relations skip the index (scanning a
     // typed column beats building a hash map), same threshold as the
-    // nested SetIndexCache.
+    // matcher's equality indexes.
     if (use_indexes && sel_is_all && rel.num_rows() >= index_min_rows &&
         item.relop == RelOp::kEq && operand->is_atom() &&
         !operand->is_null()) {
@@ -263,8 +263,7 @@ Result<bool> RunItems(const VectorConjunctPlan& plan,
 }  // namespace
 
 Result<bool> ExecuteVectorConjunct(const VectorConjunctPlan& plan,
-                                   const Value& universe, SetIndexCache* cache,
-                                   const ColumnarStore* store, bool use_indexes,
+                                   const Value& universe, bool use_indexes,
                                    size_t index_min_rows, EvalStats* stats,
                                    Substitution* sigma,
                                    const std::function<bool()>& next,
@@ -306,7 +305,7 @@ Result<bool> ExecuteVectorConjunct(const VectorConjunctPlan& plan,
           fields.size());
       for (size_t i = 0; i < fields.size(); ++i) {
         if (!fields[i].value.is_set()) continue;
-        pages[i] = cache->Columnar(fields[i].value, store);
+        pages[i] = ColumnarRelation::Of(fields[i].value);
         if (pages[i] == nullptr) return fall_back();
       }
       VectorActivationsCounter()->Increment();
@@ -327,7 +326,7 @@ Result<bool> ExecuteVectorConjunct(const VectorConjunctPlan& plan,
   }
 
   if (!cur->is_set()) return true;
-  std::shared_ptr<const ColumnarRelation> page = cache->Columnar(*cur, store);
+  std::shared_ptr<const ColumnarRelation> page = ColumnarRelation::Of(*cur);
   if (page == nullptr) return fall_back();
   VectorActivationsCounter()->Increment();
   return run(*page);

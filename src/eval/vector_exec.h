@@ -43,14 +43,11 @@
 
 #include "common/result.h"
 #include "eval/explain.h"
-#include "eval/index.h"
 #include "eval/substitution.h"
 #include "object/value.h"
 #include "syntax/ast.h"
 
 namespace idl {
-
-class ColumnarStore;
 
 // One inner-tuple item of a vectorizable conjunct.
 struct VectorItemPlan {
@@ -80,14 +77,14 @@ std::optional<VectorConjunctPlan> CompileVectorConjunct(const Expr& expr);
 
 // Runs `plan` against `universe` under `*sigma`, calling `next` once per
 // satisfying row with `*sigma` extended (and rolled back afterwards).
-// Returns false when `next` stopped enumeration, true otherwise; errors are
-// the exact statuses the matcher would raise. If a target set has no
-// columnar page (not flat) — for a relation variable, any set-valued field
-// it may visit — sets `*fell_back` and returns before emitting anything:
-// the caller must run the matcher instead.
+// Pages come from each set's cache slot (ColumnarRelation::Of). Returns
+// false when `next` stopped enumeration, true otherwise; errors are the
+// exact statuses the matcher would raise. If a target set has no columnar
+// page (not flat) — for a relation variable, any set-valued field it may
+// visit — sets `*fell_back` and returns before emitting anything: the
+// caller must run the matcher instead.
 Result<bool> ExecuteVectorConjunct(const VectorConjunctPlan& plan,
-                                   const Value& universe, SetIndexCache* cache,
-                                   const ColumnarStore* store, bool use_indexes,
+                                   const Value& universe, bool use_indexes,
                                    size_t index_min_rows, EvalStats* stats,
                                    Substitution* sigma,
                                    const std::function<bool()>& next,

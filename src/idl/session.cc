@@ -68,12 +68,9 @@ Result<const Value*> Session::universe() { return universe(nullptr); }
 
 Result<Value> Session::SnapshotUniverse() {
   IDL_ASSIGN_OR_RETURN(const Value* u, universe());
-  if (views_.rules().empty() || !materialized_valid_) {
-    Value snapshot = *u;
-    snapshot.WarmHashCaches();
-    return snapshot;
-  }
-  return materialized_.SnapshotUniverse();
+  Value snapshot = *u;
+  snapshot.Hash();  // caches every node's hash (object/value.h)
+  return snapshot;
 }
 
 Result<const Value*> Session::universe(const ResourceGovernor* request) {
@@ -92,7 +89,6 @@ std::unique_ptr<ResourceGovernor> Session::MakeRequestGovernor(
 
 void Session::MarkStale(UniverseDelta delta) {
   materialized_valid_ = false;
-  ++query_generation_;  // the hoisted query cache must not survive the change
   // A counted mutation that recorded nothing would otherwise slip past
   // maintenance entirely; treat an empty delta as whole-universe.
   if (delta.empty()) delta.MarkWhole();
@@ -343,15 +339,7 @@ Result<Answer> Session::QueryGoverned(const struct Query& query,
     return EvaluateQuery(assembled, query, options, &stats_, governor);
   }
   IDL_ASSIGN_OR_RETURN(const Value* u, universe(governor));
-  if (query_cache_ == nullptr ||
-      query_cache_min_set_size_ != options.index_min_set_size) {
-    query_cache_ =
-        std::make_unique<SetIndexCache>(options.index_min_set_size);
-    query_cache_min_set_size_ = options.index_min_set_size;
-  }
-  query_cache_->EnsureGeneration(query_generation_);
-  return EvaluateQuery(*u, query, options, &stats_, governor,
-                       query_cache_.get());
+  return EvaluateQuery(*u, query, options, &stats_, governor);
 }
 
 Status Session::EnsureMaterialized(const ResourceGovernor* request) {

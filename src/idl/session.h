@@ -27,7 +27,6 @@
 #include "common/result.h"
 #include "constraints/checker.h"
 #include "eval/explain.h"
-#include "eval/index.h"
 #include "eval/query.h"
 #include "federation/gateway.h"
 #include "object/value.h"
@@ -58,11 +57,12 @@ class Session {
   // The merged universe: base plus materialized views. Recomputed lazily.
   Result<const Value*> universe();
 
-  // Materializes if stale and returns a hash-warmed deep copy of the merged
-  // universe: the epoch snapshot the server publishes to concurrent reader
-  // sessions (src/server). The copy shares no mutable state with the
-  // session, so it is safe to evaluate against from many threads while this
-  // session keeps committing (object/value.h, "Thread safety").
+  // Materializes if stale and returns a deep copy of the merged universe
+  // with every node's hash cached: the epoch snapshot the server publishes
+  // to concurrent reader sessions (src/server). The copy shares only its
+  // sets' cache slots with the session, which are built for concurrent
+  // readers, so it is safe to evaluate against from many threads while
+  // this session keeps committing (object/value.h, "Thread safety").
   Result<Value> SnapshotUniverse();
 
   // Lowers a database of the *merged* universe back to relational form
@@ -255,7 +255,6 @@ class Session {
     materialized_valid_ = false;
     maintenance_available_ = false;
     pending_delta_.Clear();
-    ++query_generation_;
   }
   // Soft invalidation: the base changed exactly as `delta` describes. The
   // merged accumulated delta drives incremental maintenance at the next
@@ -293,17 +292,6 @@ class Session {
   std::vector<std::string> program_texts_;
   EvalStats stats_;
   EvalOptions materialize_options_;
-  // Hoisted query-evaluation cache: equality indexes and columnar pages
-  // persist across direct-session queries of one universe generation, so a
-  // repeated query reuses its pages instead of rebuilding them per call.
-  // Keyed by query_generation_, bumped by Invalidate() and MarkStale() —
-  // every base or view mutation passes through one of the two. Rebuilt when
-  // a query's index_min_set_size differs from the cache's (the threshold is
-  // baked in at construction). The federation ship path evaluates over a
-  // per-request assembled universe and never uses it.
-  std::unique_ptr<SetIndexCache> query_cache_;
-  size_t query_cache_min_set_size_ = 0;
-  uint64_t query_generation_ = 1;
 };
 
 }  // namespace idl

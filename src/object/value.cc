@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "object/set_cache.h"
 
 namespace idl {
 
@@ -191,9 +192,33 @@ bool Value::RemoveField(std::string_view name) {
 
 // ---- Set access ------------------------------------------------------------
 
+Value::SetRep::Heap::Heap(const Heap& o) : index(o.index) {
+  // Shares the slot the source has now; a copy never installs one in its
+  // source, so copying costs no allocation.
+  SetCache* slot = o.cache.load(std::memory_order_acquire);
+  if (slot != nullptr) slot->Retain();
+  cache.store(slot, std::memory_order_relaxed);
+}
+
+Value::SetRep::Heap::~Heap() {
+  if (SetCache* slot = cache.load(std::memory_order_relaxed)) slot->Release();
+}
+
+SetCache& Value::SetRep::Heap::Slot() const {
+  SetCache* slot = cache.load(std::memory_order_acquire);
+  if (slot != nullptr) return *slot;
+  auto* fresh = new SetCache();
+  if (cache.compare_exchange_strong(slot, fresh, std::memory_order_acq_rel,
+                                    std::memory_order_acquire)) {
+    return *fresh;
+  }
+  delete fresh;  // another thread installed one first
+  return *slot;
+}
+
 Value::SetRep::SetRep(const SetRep& o)
     : elems(o.elems),
-      index(o.index == nullptr ? nullptr : std::make_unique<Index>(*o.index)) {}
+      heap(o.heap == nullptr ? nullptr : std::make_unique<Heap>(*o.heap)) {}
 
 Value::SetRep& Value::SetRep::operator=(const SetRep& o) {
   if (this != &o) *this = SetRep(o);
@@ -201,8 +226,8 @@ Value::SetRep& Value::SetRep::operator=(const SetRep& o) {
 }
 
 Value::SetRep::Index& Value::SetRep::MutableIndex() {
-  if (index == nullptr) index = std::make_unique<Index>();
-  return *index;
+  if (heap == nullptr) heap = std::make_unique<Heap>();
+  return heap->index;
 }
 
 Value::SetRep& Value::set_rep() {
@@ -221,9 +246,9 @@ const std::vector<Value>& Value::elements() const { return set_rep().elems; }
 
 bool Value::Contains(const Value& v) const {
   const auto& s = set_rep();
-  if (s.index == nullptr) return false;
+  if (s.heap == nullptr) return false;
   uint64_t h = v.Hash();
-  auto [lo, hi] = s.index->equal_range(h);
+  auto [lo, hi] = s.heap->index.equal_range(h);
   for (auto it = lo; it != hi; ++it) {
     if (s.elems[it->second] == v) return true;
   }
@@ -236,14 +261,14 @@ bool Value::Insert(Value v) {
   uint64_t h = v.Hash();
   s.MutableIndex().emplace(h, static_cast<uint32_t>(s.elems.size()));
   s.elems.push_back(std::move(v));
-  SetCachedHash(0);
+  ResetSetCaches(s);
   return true;
 }
 
 Value* Value::MutableElement(size_t index) {
   auto& s = set_rep();
   IDL_CHECK(index < s.elems.size());
-  SetCachedHash(0);
+  ResetSetCaches(s);
   return &s.elems[index];
 }
 
@@ -270,7 +295,7 @@ void Value::RehashSet() {
     }
   }
   s.elems = std::move(kept);
-  SetCachedHash(0);
+  ResetSetCaches(s);
 }
 
 bool Value::RehashElement(size_t index, uint64_t old_hash) {
@@ -297,12 +322,12 @@ bool Value::RehashElement(size_t index, uint64_t old_hash) {
       size_t drop = std::max<size_t>(index, it->second);
       s.elems.erase(s.elems.begin() + static_cast<ptrdiff_t>(drop));
       RebuildSetIndex();
-      SetCachedHash(0);
+      ResetSetCaches(s);
       return true;
     }
   }
   set_index.emplace(h, static_cast<uint32_t>(index));
-  SetCachedHash(0);
+  ResetSetCaches(s);
   return false;
 }
 
@@ -313,6 +338,27 @@ void Value::RebuildSetIndex() {
   for (uint32_t i = 0; i < s.elems.size(); ++i) {
     index.emplace(s.elems[i].Hash(), i);
   }
+}
+
+void Value::ResetSetCaches(SetRep& s) {
+  SetCachedHash(0);
+  if (s.heap == nullptr) return;
+  // A mutator has the set to itself: no reader races these plain steps.
+  SetCache* slot = s.heap->cache.load(std::memory_order_relaxed);
+  if (slot == nullptr) return;
+  s.heap->cache.store(nullptr, std::memory_order_relaxed);
+  slot->Release();
+}
+
+SetCache& Value::set_cache() const {
+  const SetRep& s = set_rep();
+  if (s.heap == nullptr) {
+    // Never held an element: every such set is equal to every other, so
+    // they all share one slot.
+    static SetCache& empty = *new SetCache();
+    return empty;
+  }
+  return s.heap->Slot();
 }
 
 // ---- Whole-value operations --------------------------------------------------
@@ -361,22 +407,6 @@ uint64_t Value::Hash() const {
   if (h == 0) h = 1;
   SetCachedHash(h);
   return h;
-}
-
-void Value::WarmHashCaches() const {
-  switch (kind()) {
-    case ValueKind::kTuple:
-      for (const auto& f : std::get<TupleRep>(rep_).fields) {
-        f.value.WarmHashCaches();
-      }
-      break;
-    case ValueKind::kSet:
-      for (const auto& e : std::get<SetRep>(rep_).elems) e.WarmHashCaches();
-      break;
-    default:
-      break;
-  }
-  Hash();
 }
 
 int Value::Compare(const Value& a, const Value& b) {

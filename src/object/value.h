@@ -12,16 +12,19 @@
 //
 // Mutation discipline: every mutable access (MutableField, MutableElement,
 // SetField, Insert, …) invalidates the cached hash of the node it goes
-// through. Code that mutates a set element in place must call RehashSet()
-// on the containing set afterwards to restore the dedup index.
+// through, so a node with a cached hash has cached descendants; a mutable
+// set access also detaches the set's cache slot (set_cache()). Code that
+// mutates a set element in place must call RehashSet() on the containing
+// set afterwards to restore the dedup index.
 //
 // Thread safety: a Value that no thread mutates is safe to read from many
-// threads at once. The only mutable state behind a const read is the hash
-// cache, which is a relaxed atomic — concurrent Hash() calls race only on
-// storing the identical computed value. The server layer (src/server)
-// relies on this to share one published epoch universe across reader
-// sessions; WarmHashCaches() additionally pre-computes every node's hash
-// before publication so steady-state readers never write at all.
+// threads at once. The mutable state behind a const read is the hash cache,
+// a relaxed atomic — concurrent Hash() calls race only on storing the
+// identical computed value — and the set cache slot, which is built for
+// concurrent readers. The server layer (src/server) relies on this to share
+// one published epoch universe across reader sessions; one Hash() on the
+// root before publication caches every node's hash, so steady-state readers
+// never write a hash.
 
 #ifndef IDL_OBJECT_VALUE_H_
 #define IDL_OBJECT_VALUE_H_
@@ -38,6 +41,8 @@
 #include "object/date.h"
 
 namespace idl {
+
+class SetCache;
 
 enum class ValueKind : uint8_t {
   kNull = 0,
@@ -152,7 +157,7 @@ class Value {
     if (removed > 0) {
       s.elems = std::move(kept);
       RebuildSetIndex();
-      SetCachedHash(0);
+      ResetSetCaches(s);
     }
     return removed;
   }
@@ -168,18 +173,16 @@ class Value {
   // same survivor RehashSet would keep) and true is returned — element
   // indices past the removal point have shifted.
   bool RehashElement(size_t index, uint64_t old_hash);
+  // This set's cache slot (object/set_cache.h): its columnar page and
+  // equality indexes. A copy shares the slot its source has; the mutable
+  // accessors above detach it. Safe to call from many threads at once.
+  SetCache& set_cache() const;
 
   // ---- Whole-value operations ---------------------------------------------
 
-  // Structural hash; sets hash order-insensitively. Cached.
+  // Structural hash; sets hash order-insensitively. Cached on every node it
+  // visits.
   uint64_t Hash() const;
-
-  // Recursively computes and caches the hash of every node, so subsequent
-  // const reads (Hash, Contains, ==) never write the cache. The server
-  // calls this on an epoch universe before sharing it across reader
-  // threads (the cache writes are relaxed atomics, so skipping this is
-  // still race-free — warming just keeps shared pages clean).
-  void WarmHashCaches() const;
 
   // Canonical total order over all values: kinds ranked
   // null < bool < int < double < string < date < tuple < set; tuples compare
@@ -204,6 +207,18 @@ class Value {
     // element hash -> indices into elems (collision chains possible).
     using Index = std::unordered_multimap<uint64_t, uint32_t>;
 
+    // The dedup index and the cache slot.
+    struct Heap {
+      Heap() = default;
+      Heap(const Heap& o);  // copies the index, shares the slot
+      ~Heap();              // releases the slot
+      // The slot, installed on first use.
+      SetCache& Slot() const;
+      Index index;
+      // Counted: copies of the set share it.
+      mutable std::atomic<SetCache*> cache{nullptr};
+    };
+
     SetRep() = default;
     SetRep(const SetRep& o);
     SetRep& operator=(const SetRep& o);
@@ -217,8 +232,8 @@ class Value {
     // Held by pointer because the map object alone is larger than every
     // other alternative of Rep: inline, it would double every Value (96
     // bytes instead of 48). Null until something is inserted, so a null
-    // index means an empty set.
-    std::unique_ptr<Index> index;
+    // heap means an empty set.
+    std::unique_ptr<Heap> heap;
   };
 
   using Rep = std::variant<std::monostate, bool, int64_t, double, std::string,
@@ -229,6 +244,8 @@ class Value {
   SetRep& set_rep();
   const SetRep& set_rep() const;
   void RebuildSetIndex();
+  // Resets this set's hash and detaches its cache slot (`s` is set_rep()).
+  void ResetSetCaches(SetRep& s);
 
   uint64_t CachedHash() const {
     return hash_.load(std::memory_order_relaxed);
@@ -248,6 +265,9 @@ struct Value::Field {
   std::string name;
   Value value;
 };
+
+// Every node is one Value; keep it small (see SetRep::heap).
+static_assert(sizeof(Value) == 48);
 
 // Number of object-model cells in `v`: every node (atom, tuple, or set)
 // counts as one cell, recursively through tuple fields and set elements.

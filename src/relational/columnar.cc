@@ -5,6 +5,7 @@
 #include "common/metrics.h"
 #include "common/str_util.h"
 #include "common/trace.h"
+#include "object/set_cache.h"
 
 namespace idl {
 
@@ -123,6 +124,11 @@ bool ColumnarRelation::IsFlat(const Value& set) {
     }
   }
   return true;
+}
+
+std::shared_ptr<const ColumnarRelation> ColumnarRelation::Of(
+    const Value& set) {
+  return set.set_cache().GetPage([&] { return FromSet(set); });
 }
 
 std::shared_ptr<const ColumnarRelation> ColumnarRelation::FromSet(
@@ -452,37 +458,35 @@ std::shared_ptr<const ColumnarStore> ColumnarStore::Build(
     for (const Value::Field& rel : db.value.fields()) {
       if (!rel.value.is_set()) continue;
       std::string path = StrCat(db.name, ".", rel.name);
-      std::shared_ptr<const ColumnarRelation> page;
+      const Entry* prev = nullptr;
       if (previous != nullptr) {
-        auto prev = previous->by_path_.find(path);
-        if (prev != previous->by_path_.end() && prev->second.page != nullptr &&
-            prev->second.source != nullptr) {
-          // Reuse requires *order-sensitive* equality: row order is
-          // emission order, so an order-insensitively-equal set with
-          // shuffled elements must rebuild.
-          const std::vector<Value>& a = prev->second.source->elements();
-          const std::vector<Value>& b = rel.value.elements();
-          if (a.size() == b.size() &&
-              std::equal(a.begin(), a.end(), b.begin())) {
-            page = prev->second.page;
-            ++store->shared_;
-            PagesSharedCounter()->Increment();
-          }
-        }
+        auto it = previous->by_path_.find(path);
+        if (it != previous->by_path_.end()) prev = &it->second;
       }
-      if (page == nullptr) page = ColumnarRelation::FromSet(rel.value);
+      std::shared_ptr<const ColumnarRelation> page =
+          rel.value.set_cache().GetPage([&] {
+            // Reuse requires *order-sensitive* equality: row order is
+            // emission order, so an order-insensitively-equal set with
+            // shuffled elements must rebuild.
+            if (prev != nullptr) {
+              const std::vector<Value>& a = prev->source->elements();
+              const std::vector<Value>& b = rel.value.elements();
+              if (a.size() == b.size() &&
+                  std::equal(a.begin(), a.end(), b.begin())) {
+                return prev->page;
+              }
+            }
+            return ColumnarRelation::FromSet(rel.value);
+          });
       if (page == nullptr) continue;  // not flat: nested evaluation only
-      store->by_addr_[static_cast<const void*>(&rel.value)] = page;
+      if (prev != nullptr && prev->page == page) {
+        ++store->shared_;
+        PagesSharedCounter()->Increment();
+      }
       store->by_path_[path] = Entry{&rel.value, page};
     }
   }
   return store;
-}
-
-std::shared_ptr<const ColumnarRelation> ColumnarStore::Find(
-    const void* addr) const {
-  auto it = by_addr_.find(addr);
-  return it == by_addr_.end() ? nullptr : it->second;
 }
 
 }  // namespace idl

@@ -20,7 +20,7 @@
 //    across incompatible kinds, everything else is unordered
 //    (eval/matcher.cc EvalRelOp).
 //  * Equality probes hash numbers by their double value (with -0.0 folded
-//    onto +0.0) exactly like the nested SetIndexCache, so the two
+//    onto +0.0) exactly like the matcher's equality indexes, so the two
 //    substrates agree on which rows an index probe finds.
 //  * A ColumnarRelation is immutable after construction and safe to share
 //    across threads: the lazy per-column hash indexes are built under a
@@ -46,7 +46,7 @@
 
 namespace idl {
 
-// The normalized cell hash shared by the nested SetIndexCache and the
+// The normalized cell hash shared by the matcher's equality indexes and the
 // columnar indexes: numbers hash by double value (so `=50` probes find 50.0
 // cells, matching EvalRelOp's cross-kind numeric equality), with -0.0
 // folded onto +0.0 (equal under every relop, distinct bit patterns).
@@ -89,6 +89,10 @@ class ColumnarRelation {
   // Builds the columnar form, or returns nullptr when `set` is not a flat
   // set. Row order is element order.
   static std::shared_ptr<const ColumnarRelation> FromSet(const Value& set);
+
+  // The page kept in `set`'s cache slot (Value::set_cache), built by
+  // FromSet on first use; nullptr when the set is not flat.
+  static std::shared_ptr<const ColumnarRelation> Of(const Value& set);
 
   ~ColumnarRelation();
   ColumnarRelation(const ColumnarRelation&) = delete;
@@ -151,25 +155,22 @@ class ColumnarRelation {
 
 // ColumnarStore: the column pages of one epoch universe (src/server).
 //
-// Built at epoch publication over every flat `db.rel` set; pages are
-// refcounted (shared_ptr) and *reused* from the previous epoch whenever a
-// relation is unchanged — element order included, since row order is
-// emission order — so publishing an epoch that touched one relation shares
-// every other relation's columns instead of re-building them. Readers find
-// pages by set address (stable: the store lives next to the universe it
-// indexes inside the epoch and must not outlive it).
+// Built at epoch publication, it attaches a page to the cache slot of every
+// flat `db.rel` set, where readers find it (ColumnarRelation::Of). A set
+// copied from one whose slot held a page already carries it; any other set
+// (delete-and-rederive rebuilds derived relations on every commit) reuses
+// the previous epoch's page for its path when the elements are equal in
+// order. The store points into its universe and must not outlive it.
 class ColumnarStore {
  public:
-  // Builds pages for every flat relation set of `universe` (a tuple of
+  // Attaches pages to every flat relation set of `universe` (a tuple of
   // databases, each a tuple of relations). `previous` (may be null) donates
   // pages for relations whose content and element order are unchanged.
   static std::shared_ptr<const ColumnarStore> Build(
       const Value& universe, const ColumnarStore* previous);
 
-  // The page for the set at `addr`, or nullptr.
-  std::shared_ptr<const ColumnarRelation> Find(const void* addr) const;
-
   size_t pages() const { return by_path_.size(); }
+  // Pages that are the previous epoch's page for the same path.
   size_t shared_with_previous() const { return shared_; }
 
  private:
@@ -177,8 +178,6 @@ class ColumnarStore {
     const Value* source = nullptr;  // the set inside this epoch's universe
     std::shared_ptr<const ColumnarRelation> page;
   };
-  std::unordered_map<const void*, std::shared_ptr<const ColumnarRelation>>
-      by_addr_;
   std::unordered_map<std::string, Entry> by_path_;  // "db.rel" -> page
   size_t shared_ = 0;
 };

@@ -15,21 +15,28 @@ namespace idl {
 
 namespace {
 
-// "% name: 123" -> 123; `fallback` when the directive is absent.
-size_t DirectiveNumber(std::string_view script, std::string_view directive,
-                       size_t fallback) {
+// "% name: 123" -> 123; `fallback` when the directive is absent. The rest
+// of the directive's line, without surrounding blanks, must be a decimal
+// integer in [0, max of T]; anything else is InvalidArgument.
+template <typename T>
+Result<T> DirectiveNumber(std::string_view script, std::string_view directive,
+                          T fallback) {
   size_t at = script.find(directive);
   if (at == std::string_view::npos) return fallback;
-  size_t pos = at + directive.size();
-  while (pos < script.size() && script[pos] == ' ') ++pos;
-  size_t n = 0;
-  bool any = false;
-  while (pos < script.size() && script[pos] >= '0' && script[pos] <= '9') {
-    n = n * 10 + static_cast<size_t>(script[pos] - '0');
-    ++pos;
-    any = true;
+  std::string_view text = script.substr(at + directive.size());
+  text = text.substr(0, text.find('\n'));
+  auto blank = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
+  while (!text.empty() && blank(text.front())) text.remove_prefix(1);
+  while (!text.empty() && blank(text.back())) text.remove_suffix(1);
+  T n = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  if (ec != std::errc() || ptr != end || text.front() == '-') {
+    return InvalidArgument(StrCat(directive, " wants an integer in [0, ",
+                                  std::numeric_limits<T>::max(), "], got '",
+                                  text, "'"));
   }
-  return any ? n : fallback;
+  return n;
 }
 
 // "% name: word" -> "word" (to end of line); "" when absent.
@@ -48,28 +55,12 @@ std::string DirectiveWord(std::string_view script, std::string_view directive) {
 
 }  // namespace
 
-size_t ServerSessionsDirective(std::string_view script) {
-  return DirectiveNumber(script, "% server-sessions:", 0);
+Result<size_t> ServerSessionsDirective(std::string_view script) {
+  return DirectiveNumber<size_t>(script, "% server-sessions:", 0);
 }
 
 Result<int> MaxPassesDirective(std::string_view script) {
-  constexpr std::string_view kDirective = "% max-passes:";
-  size_t at = script.find(kDirective);
-  if (at == std::string_view::npos) return 0;
-  std::string_view text = script.substr(at + kDirective.size());
-  text = text.substr(0, text.find('\n'));
-  auto blank = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
-  while (!text.empty() && blank(text.front())) text.remove_prefix(1);
-  while (!text.empty() && blank(text.back())) text.remove_suffix(1);
-  int passes = 0;
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, passes);
-  if (ec != std::errc() || ptr != end || passes < 0) {
-    return InvalidArgument(StrCat(kDirective, " wants an integer in [0, ",
-                                  std::numeric_limits<int>::max(), "], got '",
-                                  text, "'"));
-  }
-  return passes;
+  return DirectiveNumber<int>(script, "% max-passes:", 0);
 }
 
 Result<ServerScriptResult> RunServerScript(Server* server,
@@ -185,9 +176,11 @@ Result<ServerScriptResult> RunServerScript(Server* server,
 Result<DurableScriptSpec> ParseDurableScriptSpec(std::string_view script) {
   DurableScriptSpec spec;
   spec.durable = script.find("% wal:") != std::string_view::npos;
-  spec.checkpoint_every =
-      DirectiveNumber(script, "% checkpoint-every:", spec.checkpoint_every);
-  spec.crash_after = DirectiveNumber(script, "% crash-after:", 0);
+  IDL_ASSIGN_OR_RETURN(spec.checkpoint_every,
+                       DirectiveNumber(script, "% checkpoint-every:",
+                                       spec.checkpoint_every));
+  IDL_ASSIGN_OR_RETURN(spec.crash_after,
+                       DirectiveNumber<size_t>(script, "% crash-after:", 0));
   std::string at = DirectiveWord(script, "% crash-at:");
   if (!at.empty() && !ParseCrashPointName(at, &spec.crash_at)) {
     return InvalidArgument(StrCat("unknown crash point '", at, "'"));

@@ -46,12 +46,13 @@ Result<ServerScriptResult> RunServerScript(
     Server* server, std::string_view script, size_t num_sessions,
     const EvalOptions& request_options = EvalOptions());
 
-// The `% server-sessions: N` directive (0 when absent).
-size_t ServerSessionsDirective(std::string_view script);
+// The `% server-sessions: N` directive (0 when absent). The rest of the
+// directive's line, without surrounding blanks, must be a decimal integer
+// in [0, SIZE_MAX]; anything else is InvalidArgument.
+Result<size_t> ServerSessionsDirective(std::string_view script);
 
-// The `% max-passes: N` fixpoint pass budget (0 when absent). The rest of
-// the directive's line, without surrounding blanks, must be a decimal
-// integer in [0, INT_MAX]; anything else is InvalidArgument.
+// The `% max-passes: N` fixpoint pass budget (0 when absent), parsed like
+// `% server-sessions:` but bounded by INT_MAX.
 Result<int> MaxPassesDirective(std::string_view script);
 
 // ---- Durable scripts (src/durability, docs/DURABILITY.md) ------------------
@@ -87,7 +88,8 @@ struct DurableScriptSpec {
 };
 
 // Parses the `% wal:` family of directives. InvalidArgument on an unknown
-// `% crash-at:` point name.
+// `% crash-at:` point name, or on a `% checkpoint-every:` or
+// `% crash-after:` value that is not a whole decimal integer in range.
 Result<DurableScriptSpec> ParseDurableScriptSpec(std::string_view script);
 
 struct DurableScriptResult {

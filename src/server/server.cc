@@ -542,12 +542,14 @@ Result<Answer> ServerSession::Query(std::string_view query_text,
   // Always governed: the cancel handle must be able to abort a reader
   // mid-evaluation even when no budget is set.
   ResourceGovernor governor(GovernorLimitsFrom(options), cancel_);
-  // Readers evaluate against the epoch's published pages: no per-query
-  // encode, and concurrent sessions on the same epoch share columns.
-  EvalOptions epoch_options = options;
-  epoch_options.columnar_store = epoch_->columnar.get();
-  Result<Answer> answer = EvaluateQuery(epoch_->universe, query, epoch_options,
-                                        &stats_, &governor);
+  // Readers evaluate against the pages and indexes kept on the epoch's
+  // sets: no per-query encode, and concurrent sessions on the same epoch
+  // share them.
+  EvalStats query_stats;
+  Result<Answer> answer = EvaluateQuery(epoch_->universe, query, options,
+                                        &query_stats, &governor);
+  query_stats.BumpMetrics();
+  stats_ += query_stats;
   Metrics().query_ms->Observe(MsSince(t0));
   return answer;
 }

@@ -6,9 +6,9 @@
 // around it:
 //
 //  * Readers never touch the session. They evaluate against an immutable
-//    published *epoch* — a hash-warmed deep copy of the merged universe
-//    (base plus materialized views) taken after each commit
-//    (Materialized::SnapshotUniverse). An epoch is a shared_ptr<const>;
+//    published *epoch* — a deep copy of the merged universe (base plus
+//    materialized views), every hash cached, taken after each commit
+//    (Session::SnapshotUniverse). An epoch is a shared_ptr<const>;
 //    pinning one is a pointer copy, and a pinned epoch stays valid for as
 //    long as any session holds it, however many commits happen meanwhile.
 //
@@ -68,11 +68,11 @@ struct Epoch {
   Value universe;
   // "db.rel" paths created by rules, as of this epoch.
   std::vector<std::string> derived_paths;
-  // Columnar pages for every flat relation of `universe`, built once at
-  // publication (docs/COLUMNAR.md). Pages are immutable and refcounted:
-  // relations unchanged since the previous epoch share that epoch's pages
-  // rather than re-encoding, and reader sessions on either epoch keep the
-  // shared page alive. Null only under EvalSubstrate::kNested servers.
+  // Columnar pages for every flat relation of `universe`, attached to the
+  // sets' cache slots at publication (docs/COLUMNAR.md). Pages are immutable
+  // and refcounted: relations unchanged since the previous epoch share that
+  // epoch's pages rather than re-encoding, and reader sessions on either
+  // epoch keep the shared page alive. Null under EvalSubstrate::kNested.
   std::shared_ptr<const ColumnarStore> columnar;
   std::chrono::steady_clock::time_point published_at;
 };

@@ -15,7 +15,6 @@
 #include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "eval/index.h"
 #include "eval/matcher.h"
 #include "eval/query.h"
 #include "eval/substitution.h"
@@ -729,12 +728,8 @@ struct SemiNaiveContext {
   EvalOptions options;
   const ResourceGovernor* governor = nullptr;
   // Worker pool: the calling thread always participates (slot 0), so
-  // parallelism P means P-1 pool threads. One persistent index cache per
-  // worker slot, invalidated by the generation counter, which every
-  // universe mutation outside a wave's own write phase must bump too.
+  // parallelism P means P-1 pool threads.
   std::unique_ptr<ThreadPool> pool;
-  std::vector<std::unique_ptr<SetIndexCache>> caches;
-  uint64_t generation = 1;
   EvalStats mat_stats;  // this run only (merged by the caller)
   Materialized* m = nullptr;
 };
@@ -765,12 +760,6 @@ Status InitSemiNaive(const std::vector<Rule>& rules,
                            : options.materialize_parallelism;
   if (parallelism > 1) {
     ctx->pool = std::make_unique<ThreadPool>(parallelism - 1);
-  }
-  const size_t num_slots = ctx->pool != nullptr ? ctx->pool->num_slots() : 1;
-  ctx->caches.reserve(num_slots);
-  for (size_t s = 0; s < num_slots; ++s) {
-    ctx->caches.push_back(
-        std::make_unique<SetIndexCache>(options.index_min_set_size));
   }
   return Status::Ok();
 }
@@ -891,10 +880,10 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
                         StrCat("pass=", row.passes, " active=", active.size()));
 
     // ---- enumeration phase: the universe is immutable, so rule bodies
-    // evaluate concurrently; each task gets its own result slot, stats,
-    // and per-worker index cache. Phase timings land in the task's own
-    // slot (thread-safe) and are folded into the rule timings by the
-    // sequential collection loop below.
+    // evaluate concurrently (sharing each set's page and indexes through
+    // its cache slot); each task gets its own result slot and stats. Phase
+    // timings land in the task's own slot (thread-safe) and are folded into
+    // the rule timings by the sequential collection loop below.
     struct TaskResult {
       std::vector<Substitution> sigmas;
       Status status = Status::Ok();
@@ -910,14 +899,12 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
       m.universe.Hash();
       if (!delta.is_null()) delta.Hash();
     }
-    auto run_task = [&](size_t t, size_t slot) {
+    auto run_task = [&](size_t t, size_t /*slot*/) {
       TaskResult& out = results[t];
       const size_t k = active[t];
       const Rule& rule = rules[level_rules[k]];
       auto enum_start = std::chrono::steady_clock::now();
       int64_t enum_cpu_start = ThreadCpuNs();
-      SetIndexCache* cache = ctx->caches[slot].get();
-      cache->EnsureGeneration(ctx->generation);
       auto collect = [&](const Substitution& sigma) {
         out.sigmas.push_back(sigma);
         return true;
@@ -928,9 +915,8 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
         sources.push_back(ConjunctSource{conjunct.get(), &m.universe});
       }
       if (!use_delta) {
-        Result<bool> r =
-            EnumerateBindingsOver(sources, options, &out.stats, cache,
-                                  collect, governor);
+        Result<bool> r = EnumerateBindingsOver(sources, options, &out.stats,
+                                               collect, governor);
         if (!r.ok()) out.status = r.status();
       } else {
         // One variant per delta-eligible conjunct: that conjunct reads
@@ -938,9 +924,8 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
         // covers every substitution whose body touches a new fact.
         for (size_t pos : delta_positions[k]) {
           sources[pos].universe = &delta;
-          Result<bool> r =
-              EnumerateBindingsOver(sources, options, &out.stats, cache,
-                                    collect, governor);
+          Result<bool> r = EnumerateBindingsOver(sources, options,
+                                                 &out.stats, collect, governor);
           sources[pos].universe = &m.universe;
           if (!r.ok()) {
             out.status = r.status();
@@ -1010,7 +995,6 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
     ++m.fixpoint_passes;
     ++row.passes;
     const bool changed = m.changes != changes_before;
-    if (changed) ++ctx->generation;
     if (accumulate != nullptr && !next_delta.is_null()) {
       MergeUniverse(accumulate, next_delta);
     }
@@ -1239,7 +1223,6 @@ Status ApplyInsertions(SemiNaiveContext* ctx, const Value& inserted_tree,
         ctx->governor->ChargeCells(CountCells(inserted_tree)));
   }
   MergeUniverse(&m.universe, inserted_tree);
-  ++ctx->generation;
   Value seed = inserted_tree;  // grows with each level's derivations
   for (size_t level = 0; level < ctx->by_level.size(); ++level) {
     bool affected = false;
@@ -1304,7 +1287,6 @@ Status DeleteAndRederive(SemiNaiveContext* ctx, const Value& base_after,
   Value old_universe = std::move(m.universe);
   m.universe = base_after;
   IDL_RETURN_IF_ERROR(ChargeBaseCells(m.universe, ctx->governor));
-  ++ctx->generation;
   for (size_t level = 0; level < num_levels; ++level) {
     // Re-check against the live dirty set: an affected wave below may have
     // written paths the plan did not know about (higher-order heads).
@@ -1319,7 +1301,6 @@ Status DeleteAndRederive(SemiNaiveContext* ctx, const Value& base_after,
       for (const auto& path : m.level_written[level]) {
         CopyPath(old_universe, path, &m.universe);
       }
-      if (!m.level_written[level].empty()) ++ctx->generation;
       ++m.maintenance.strata_skipped;
       continue;
     }
@@ -1356,12 +1337,6 @@ std::string Materialized::Explain() const {
 
 std::string Materialized::ExplainAnalyze(bool mask_timings) const {
   return FormatAnalyze(stratum_stats, wall_ms, cpu_ms, mask_timings);
-}
-
-Value Materialized::SnapshotUniverse() const {
-  Value snapshot = universe;
-  snapshot.WarmHashCaches();
-  return snapshot;
 }
 
 Status ViewEngine::AddRule(Rule rule) {

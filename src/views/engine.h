@@ -27,9 +27,9 @@
 //    of a full run records none). Passes after the first replace, one at a
 //    time, each body conjunct that may read this level's heads with the
 //    delta universe, so only substitutions touching a newly derived fact
-//    are re-derived.
-//    Per-worker SetIndexCaches persist across rules and passes, invalidated
-//    by a universe generation counter bumped on change (eval/index.h).
+//    are re-derived. Pages and equality indexes live in each set's cache
+//    slot (Value::set_cache), so they persist across rules, passes and
+//    waves until the set itself is written.
 //
 // Both strategies write heads in rule order with identical per-rule
 // substitution enumeration order, so for non-recursive programs the results
@@ -116,13 +116,6 @@ struct Materialized {
   // and per-stratum phase timings checked against wall_ms/cpu_ms. Masked
   // timings (every cell "-") for byte-stable golden transcripts.
   std::string ExplainAnalyze(bool mask_timings = false) const;
-
-  // A deep copy of `universe` with every node's hash cache pre-computed:
-  // the snapshot handoff for epoch publication (src/server). The returned
-  // value is safe to share read-only across threads, and because the caches
-  // are warm, steady-state readers never even write the relaxed-atomic hash
-  // slots (object/value.h, "Thread safety").
-  Value SnapshotUniverse() const;
 };
 
 class ViewEngine {

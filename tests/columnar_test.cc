@@ -323,14 +323,19 @@ TEST(ColumnarStoreTest, EpochPageSharing) {
   db.SetField("w", std::move(w));
   universe.SetField("t0", std::move(db));
 
+  // Build attaches each page to its set's cache slot, where readers find
+  // it without building (ColumnarRelation::Of).
+  Counter* built = MetricsRegistry::Global().counter("columnar.pages_built");
   auto store1 = ColumnarStore::Build(universe, nullptr);
   ASSERT_NE(store1, nullptr);
   EXPECT_EQ(store1->pages(), 2u);
   EXPECT_EQ(store1->shared_with_previous(), 0u);
+  const uint64_t built_by_store1 = built->value();
   const Value* r_set = universe.FindField("t0")->FindField("r");
-  auto page1 = store1->Find(static_cast<const void*>(r_set));
+  auto page1 = ColumnarRelation::Of(*r_set);
   ASSERT_NE(page1, nullptr);
   EXPECT_EQ(page1->num_rows(), 2u);
+  EXPECT_EQ(built->value(), built_by_store1) << "the page was not attached";
 
   // Next epoch: deep-copied universe, only `w` changes. `r`'s page must be
   // the same object, not an equal rebuild.
@@ -341,13 +346,36 @@ TEST(ColumnarStoreTest, EpochPageSharing) {
   EXPECT_EQ(store2->pages(), 2u);
   EXPECT_EQ(store2->shared_with_previous(), 1u);
   const Value* r_next = next.FindField("t0")->FindField("r");
-  EXPECT_EQ(store2->Find(static_cast<const void*>(r_next)).get(),
-            page1.get());
+  EXPECT_EQ(ColumnarRelation::Of(*r_next).get(), page1.get());
   // The changed relation got a fresh page.
   const Value* w_next = next.FindField("t0")->FindField("w");
-  auto w_page = store2->Find(static_cast<const void*>(w_next));
+  auto w_page = ColumnarRelation::Of(*w_next);
   ASSERT_NE(w_page, nullptr);
   EXPECT_EQ(w_page->num_rows(), 2u);
+  const uint64_t built_by_store2 = built->value();
+
+  // A relation rebuilt element by element (as delete-and-rederive does)
+  // carries no page of its own: equal content in equal order reuses the
+  // previous epoch's page for the same path; a reordering rebuilds.
+  Value rebuilt = next;
+  Value* t0 = rebuilt.MutableField("t0");
+  Value same = Value::EmptySet();
+  for (const Value& e : r_next->elements()) same.Insert(e);
+  t0->SetField("r", std::move(same));
+  Value reversed = Value::EmptySet();
+  for (size_t i = w_next->SetSize(); i-- > 0;) {
+    reversed.Insert(w_next->elements()[i]);
+  }
+  t0->SetField("w", std::move(reversed));
+  auto store3 = ColumnarStore::Build(rebuilt, store2.get());
+  EXPECT_EQ(store3->shared_with_previous(), 1u);
+  EXPECT_EQ(
+      ColumnarRelation::Of(*rebuilt.FindField("t0")->FindField("r")).get(),
+      page1.get());
+  auto w_rebuilt =
+      ColumnarRelation::Of(*rebuilt.FindField("t0")->FindField("w"));
+  EXPECT_NE(w_rebuilt.get(), w_page.get());
+  EXPECT_EQ(built->value(), built_by_store2 + 1);
 }
 
 TEST(ColumnarFallbacks, FlatRelationsNeverFallBack) {

@@ -459,5 +459,40 @@ TEST(ScriptDriverTest, DurableSpecParsing) {
             std::string::npos);
 }
 
+// `% checkpoint-every:` and `% crash-after:` take a whole decimal integer
+// that fits size_t: trailing characters and overflow name the directive.
+TEST(ScriptDriverTest, DurableSpecRejectsMalformedNumbers) {
+  for (const std::string line :
+       {"% checkpoint-every: 7x", "% checkpoint-every: -4",
+        "% crash-after: 3 later", "% crash-after: 123456789012345678901"}) {
+    SCOPED_TRACE(line);
+    auto spec = ParseDurableScriptSpec("% wal:\n" + line + "\n");
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+    const std::string directive = line.substr(0, line.find(':') + 1);
+    EXPECT_NE(spec.status().ToString().find(directive + " wants an integer"),
+              std::string::npos)
+        << spec.status().ToString();
+  }
+}
+
+TEST(ScriptDriverTest, ServerSessionsDirectiveParsing) {
+  auto sessions = ServerSessionsDirective("% server-sessions: 3 \n?.a.b;\n");
+  ASSERT_TRUE(sessions.ok()) << sessions.status().ToString();
+  EXPECT_EQ(*sessions, 3u);
+  sessions = ServerSessionsDirective("?.a.b(.x=X);\n");
+  ASSERT_TRUE(sessions.ok());
+  EXPECT_EQ(*sessions, 0u);
+  for (const char* script :
+       {"% server-sessions: 3x\n", "% server-sessions: -1\n",
+        "% server-sessions:\n", "% server-sessions: 123456789012345678901\n"}) {
+    SCOPED_TRACE(script);
+    sessions = ServerSessionsDirective(script);
+    EXPECT_EQ(sessions.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(sessions.status().ToString().find(
+                  "% server-sessions: wants an integer"),
+              std::string::npos);
+  }
+}
+
 }  // namespace
 }  // namespace idl

@@ -1,5 +1,6 @@
 // EvalOptions behaviours: equality-index acceleration (identical answers,
-// fewer elements scanned), negation deferral, and row caps.
+// fewer elements scanned) and row caps; and negation deferral, which needs
+// no option.
 
 #include <gtest/gtest.h>
 
@@ -123,24 +124,17 @@ TEST(EvalOptionsTest, MaxRowsCapsAnswer) {
   EXPECT_EQ(a->rows.size(), 7u);
 }
 
-TEST(EvalOptionsTest, DeferNegationOffRequiresUserOrdering) {
+TEST(EvalOptionsTest, NegationWrittenFirstIsDeferred) {
   Value universe = BuildStockUniverse(
       GenerateStockWorkload({.num_stocks = 3, .num_days = 4}));
-  // Negation written *before* the conjunct that binds P: with deferral it
-  // works; without, the unbound P inside the negation is an error.
+  // Negation written *before* the conjunct that binds P: it runs after
+  // every positive conjunct, so P is bound when it does.
   Query q = MustQuery(
       "?.euter.r!(.stkCode=stk0, .clsPrice>P),"
       ".euter.r(.stkCode=stk0,.clsPrice=P,.date=D)");
-  EvalOptions deferred;
-  auto ok = EvaluateQuery(universe, q, deferred);
-  ASSERT_TRUE(ok.ok());
+  auto ok = EvaluateQuery(universe, q);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->rows.size(), 1u);
-
-  EvalOptions strict;
-  strict.defer_negation = false;
-  auto bad = EvaluateQuery(universe, q, strict);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kUnsafe);
 }
 
 }  // namespace

@@ -314,7 +314,9 @@ TEST(GoldenCorpus, ScriptsMatchGoldens) {
     Result<int> max_passes = MaxPassesDirective(script);
     ASSERT_TRUE(max_passes.ok()) << max_passes.status().ToString();
 
-    const size_t server_sessions = ServerSessionsDirective(script);
+    Result<size_t> sessions = ServerSessionsDirective(script);
+    ASSERT_TRUE(sessions.ok()) << sessions.status().ToString();
+    const size_t server_sessions = *sessions;
     const bool wal = script.find("% wal:") != std::string::npos;
 
     EvalOptions semi;  // defaults: kSemiNaive, auto parallelism, incremental

@@ -266,5 +266,61 @@ TEST(Server, RelationVariableScanReusesEpochPages) {
   EXPECT_GT(activations->value() - vectorized, 0u);
 }
 
+// Each server read adds its own evaluation counts to the global eval.*
+// counters: exactly its own, not the session's running total.
+TEST(Server, ReadAddsItsOwnCountsToEvalMetrics) {
+  Server server;
+  PopulatePaper(&server);
+  auto session = server.Connect();
+  ASSERT_TRUE(session.ok());
+  Counter* scanned =
+      MetricsRegistry::Global().counter("eval.set_elements_scanned");
+  for (int i = 0; i < 2; ++i) {
+    const uint64_t global_before = scanned->value();
+    const uint64_t session_before = session->stats().set_elements_scanned;
+    auto read = session->Query("?.euter.r(.stkCode=S, .clsPrice>150)");
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    const uint64_t own = session->stats().set_elements_scanned - session_before;
+    EXPECT_GT(own, 0u);
+    EXPECT_EQ(scanned->value() - global_before, own) << "read " << i;
+  }
+}
+
+// `.chwab.r(.date=…, .S=P)` binds a stock name per element, so it keeps the
+// matcher; its probe on `date` reads the index kept in the epoch set's
+// cache slot, so only the first such read on an epoch builds it.
+TEST(Server, AttributeVariableScanBuildsItsIndexOncePerEpoch) {
+  StockWorkload w = GenerateStockWorkload(
+      {.num_stocks = 16, .num_days = 40, .seed = 7});
+  Server server;
+  Value universe = BuildStockUniverse(w);
+  for (const auto& field : universe.fields()) {
+    Status st = server.RegisterDatabase(field.name, field.value);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+  auto session = server.Connect();
+  ASSERT_TRUE(session.ok());
+  const std::string text =
+      "?.chwab.r(.date=" + w.dates[3].ToString() + ", .S=P), P > 0";
+  Counter* built = MetricsRegistry::Global().counter("eval.indexes_built");
+  Counter* probes = MetricsRegistry::Global().counter("eval.index_probes");
+
+  uint64_t built_before = built->value();
+  auto first = session->Query(text);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->rows.size(), 16u);
+  EXPECT_EQ(built->value() - built_before, 1u);
+
+  built_before = built->value();
+  const uint64_t probes_before = probes->value();
+  const uint64_t session_built = session->stats().indexes_built;
+  auto second = session->Query(text);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second->ToTable(), first->ToTable());
+  EXPECT_EQ(built->value() - built_before, 0u);
+  EXPECT_EQ(session->stats().indexes_built - session_built, 0u);
+  EXPECT_GT(probes->value() - probes_before, 0u);
+}
+
 }  // namespace
 }  // namespace idl
