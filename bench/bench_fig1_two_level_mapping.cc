@@ -10,13 +10,27 @@
 #include <utility>
 
 #include "bench/bench_util.h"
+#include "reference/reference.h"
 #include "views/engine.h"
 
 namespace {
 
 using idl_bench::MakeWorkload;
 
-void RunPipeline(benchmark::State& state, idl::EvalSubstrate substrate) {
+// The round-trip equivalences of Figure 1's customized views.
+void CheckRoundTrips(const idl::Value& universe) {
+  IDL_BENCH_CHECK(*universe.FindField("dbE")->FindField("r") ==
+                  *universe.FindField("euter")->FindField("r"));
+  IDL_BENCH_CHECK(*universe.FindField("dbC")->FindField("r") ==
+                  *universe.FindField("chwab")->FindField("r"));
+  IDL_BENCH_CHECK(*universe.FindField("dbO") == *universe.FindField("ource"));
+}
+
+// `nested` materializes with the test-only reference evaluator
+// (tests/reference/reference.h) instead of the session's engine: the naive
+// fixpoint, tuple-at-a-time matching with the matcher's equality indexes at
+// the library's 32-element threshold, and scan-only head writes.
+void RunPipeline(benchmark::State& state, bool nested) {
   size_t stocks = state.range(0);
   size_t days = state.range(1);
   idl::StockWorkload w = MakeWorkload(stocks, days);
@@ -26,22 +40,23 @@ void RunPipeline(benchmark::State& state, idl::EvalSubstrate substrate) {
 
   for (auto _ : state) {
     idl::Session session;
-    idl::EvalOptions materialize;
-    materialize.substrate = substrate;
-    session.set_materialize_options(materialize);
     IDL_BENCH_CHECK(session.RegisterDatabase(euter).ok());
     IDL_BENCH_CHECK(session.RegisterDatabase(chwab).ok());
     IDL_BENCH_CHECK(session.RegisterDatabase(ource).ok());
+    if (nested) {
+      auto rules = idl::ParseRuleTexts(idl::PaperViewRules());
+      IDL_BENCH_CHECK(rules.ok());
+      auto m = idl::ReferenceMaterialize(*rules, session.base_universe(),
+                                         nullptr,
+                                         idl::EvalOptions().index_min_set_size);
+      IDL_BENCH_CHECK(m.ok());
+      CheckRoundTrips(m->universe);
+      continue;
+    }
     IDL_BENCH_CHECK(session.DefineRules(idl::PaperViewRules()).ok());
     auto u = session.universe();
     IDL_BENCH_CHECK(u.ok());
-    const idl::Value& universe = **u;
-    IDL_BENCH_CHECK(*universe.FindField("dbE")->FindField("r") ==
-                    *universe.FindField("euter")->FindField("r"));
-    IDL_BENCH_CHECK(*universe.FindField("dbC")->FindField("r") ==
-                    *universe.FindField("chwab")->FindField("r"));
-    IDL_BENCH_CHECK(*universe.FindField("dbO") ==
-                    *universe.FindField("ource"));
+    CheckRoundTrips(**u);
   }
   state.counters["base_facts"] = static_cast<double>(stocks * days);
   state.counters["facts_per_sec"] = benchmark::Counter(
@@ -50,7 +65,7 @@ void RunPipeline(benchmark::State& state, idl::EvalSubstrate substrate) {
 }
 
 void BM_Fig1_Pipeline(benchmark::State& state) {
-  RunPipeline(state, idl::EvalSubstrate::kColumnar);
+  RunPipeline(state, /*nested=*/false);
 }
 BENCHMARK(BM_Fig1_Pipeline)
     ->Args({3, 4})    // the paper's toy scale
@@ -58,11 +73,11 @@ BENCHMARK(BM_Fig1_Pipeline)
     ->Args({16, 40})
     ->Unit(benchmark::kMillisecond);
 
-// The same pipeline forced through the tuple-at-a-time substrate. CI's
-// release bench smoke asserts the columnar 16/40 point is >= 2x faster
+// The same pipeline on the tuple-at-a-time reference. CI's release bench
+// smoke asserts the library's 16/40 point is >= 3.25x faster
 // (docs/COLUMNAR.md).
 void BM_Fig1_Pipeline_Nested(benchmark::State& state) {
-  RunPipeline(state, idl::EvalSubstrate::kNested);
+  RunPipeline(state, /*nested=*/true);
 }
 BENCHMARK(BM_Fig1_Pipeline_Nested)
     ->Args({3, 4})
@@ -71,7 +86,7 @@ BENCHMARK(BM_Fig1_Pipeline_Nested)
     ->Unit(benchmark::kMillisecond);
 
 // Materialization alone — the six views over an already-built universe,
-// serial, on the columnar substrate — at two sizes 8x apart in facts. Head
+// serial — at two sizes 8x apart in facts. Head
 // writes dominate it, so the size pair shows how the batch absorber scales:
 // CI's release bench smoke asserts time(128/250) <= 15x time(16/250).
 void BM_Fig1_Materialize(benchmark::State& state) {
@@ -85,7 +100,6 @@ void BM_Fig1_Materialize(benchmark::State& state) {
   }
   idl::EvalOptions options;
   options.materialize_parallelism = 1;
-  options.substrate = idl::EvalSubstrate::kColumnar;
   for (auto _ : state) {
     auto m = engine.Materialize(universe, options);
     IDL_BENCH_CHECK(m.ok());

@@ -2,11 +2,12 @@
 // ApplyDelta, docs/INCREMENTAL.md) on interleaved update/query traces.
 //
 // Each iteration is one trace step against a live Session: an update
-// request lands in euter, then a query forces the view cache current. Under
-// MaintenanceMode::kIncremental the session propagates the update's delta
-// into the retained materialization (insertions semi-naively, deletions by
-// delete-and-rederive); under kRematerialize it rebuilds every view from
-// scratch — so the ratio of the two /N timings is the maintenance speedup
+// request lands in euter, then a query reads the unified view. The
+// _Incremental legs let the session propagate the update's delta into its
+// retained materialization (insertions semi-naively, deletions by
+// delete-and-rederive); the _Rematerialize legs keep the rules out of the
+// session and run a from-scratch ViewEngine::Materialize of its base per
+// request — so the ratio of the two /N timings is the maintenance speedup
 // at N stocks.
 //
 // Two trace shapes:
@@ -33,10 +34,10 @@
 #include "bench/bench_util.h"
 #include "idl/session.h"
 #include "object/date.h"
+#include "views/engine.h"
 
 namespace {
 
-using idl::MaintenanceMode;
 using idl::StockWorkload;
 
 std::vector<std::string> BenchViewRules() {
@@ -53,22 +54,35 @@ std::vector<std::string> BenchViewRules() {
   };
 }
 
+constexpr char kUnifiedQuery[] = "?.dbI.p(.stk=S, .clsPrice>450)";
+
 struct TraceSession {
   idl::Session session;
+  // With `rebuild`, the rules live here instead of in the session, and
+  // every query first materializes the session's base from scratch.
+  bool rebuild = false;
+  idl::ViewEngine engine;
+  const idl::Query unified_query = idl_bench::MustQuery(kUnifiedQuery);
   std::vector<std::string> stocks;
   int64_t next_day = 0;
   uint64_t step = 0;
 
-  void SetUp(size_t stocks_count, MaintenanceMode mode) {
+  void SetUp(size_t stocks_count, bool rebuild_views) {
+    rebuild = rebuild_views;
     StockWorkload w = idl_bench::MakeWorkload(stocks_count, 30);
     IDL_BENCH_CHECK(session.RegisterDatabase(BuildEuterDatabase(w)).ok());
     IDL_BENCH_CHECK(session.RegisterDatabase(BuildChwabDatabase(w)).ok());
     IDL_BENCH_CHECK(session.RegisterDatabase(BuildOurceDatabase(w)).ok());
-    IDL_BENCH_CHECK(session.DefineRules(BenchViewRules()).ok());
-    idl::EvalOptions options;
-    options.maintenance = mode;
-    session.set_materialize_options(options);
-    IDL_BENCH_CHECK(session.universe().ok());  // initial materialization
+    if (rebuild) {
+      for (const std::string& text : BenchViewRules()) {
+        auto rule = idl::ParseRule(text);
+        IDL_BENCH_CHECK(rule.ok());
+        IDL_BENCH_CHECK(engine.AddRule(std::move(rule).value()).ok());
+      }
+    } else {
+      IDL_BENCH_CHECK(session.DefineRules(BenchViewRules()).ok());
+      IDL_BENCH_CHECK(session.universe().ok());  // initial materialization
+    }
     stocks = w.stocks;
     next_day = w.dates.back().DayNumber() + 1;
   }
@@ -94,13 +108,21 @@ struct TraceSession {
   }
 
   size_t QueryUnifiedView() {
-    auto a = session.Query("?.dbI.p(.stk=S, .clsPrice>450)");
-    IDL_BENCH_CHECK(a.ok());
     ++step;
+    if (rebuild) {
+      auto m = engine.Materialize(session.base_universe());
+      IDL_BENCH_CHECK(m.ok());
+      auto a = idl::EvaluateQuery(m->universe, unified_query);
+      IDL_BENCH_CHECK(a.ok());
+      return a->rows.size();
+    }
+    auto a = session.Query(kUnifiedQuery);
+    IDL_BENCH_CHECK(a.ok());
     return a->rows.size();
   }
 
   void ReportMaintenance(benchmark::State& state) const {
+    if (rebuild) return;
     const idl::Materialized* m = session.last_materialization();
     IDL_BENCH_CHECK(m != nullptr);
     state.counters["deltas"] =
@@ -112,9 +134,9 @@ struct TraceSession {
   }
 };
 
-void AppendTrace(benchmark::State& state, MaintenanceMode mode) {
+void AppendTrace(benchmark::State& state, bool rebuild) {
   TraceSession t;
-  t.SetUp(static_cast<size_t>(state.range(0)), mode);
+  t.SetUp(static_cast<size_t>(state.range(0)), rebuild);
   size_t rows = 0;
   for (auto _ : state) {
     t.Apply(t.AppendRequest());
@@ -125,17 +147,17 @@ void AppendTrace(benchmark::State& state, MaintenanceMode mode) {
 }
 
 void BM_AppendTrace_Incremental(benchmark::State& state) {
-  AppendTrace(state, MaintenanceMode::kIncremental);
+  AppendTrace(state, /*rebuild=*/false);
 }
 void BM_AppendTrace_Rematerialize(benchmark::State& state) {
-  AppendTrace(state, MaintenanceMode::kRematerialize);
+  AppendTrace(state, /*rebuild=*/true);
 }
 BENCHMARK(BM_AppendTrace_Incremental)->Arg(100)->Arg(1000);
 BENCHMARK(BM_AppendTrace_Rematerialize)->Arg(100)->Arg(1000);
 
-void ChurnTrace(benchmark::State& state, MaintenanceMode mode) {
+void ChurnTrace(benchmark::State& state, bool rebuild) {
   TraceSession t;
-  t.SetUp(static_cast<size_t>(state.range(0)), mode);
+  t.SetUp(static_cast<size_t>(state.range(0)), rebuild);
   int64_t oldest_appended = t.next_day;
   size_t rows = 0;
   for (auto _ : state) {
@@ -151,10 +173,10 @@ void ChurnTrace(benchmark::State& state, MaintenanceMode mode) {
 }
 
 void BM_ChurnTrace_Incremental(benchmark::State& state) {
-  ChurnTrace(state, MaintenanceMode::kIncremental);
+  ChurnTrace(state, /*rebuild=*/false);
 }
 void BM_ChurnTrace_Rematerialize(benchmark::State& state) {
-  ChurnTrace(state, MaintenanceMode::kRematerialize);
+  ChurnTrace(state, /*rebuild=*/true);
 }
 BENCHMARK(BM_ChurnTrace_Incremental)->Arg(100)->Arg(1000);
 BENCHMARK(BM_ChurnTrace_Rematerialize)->Arg(100)->Arg(1000);

@@ -1,12 +1,16 @@
-// Naive vs semi-naive fixpoint evaluation (views/engine.h).
+// Naive vs semi-naive fixpoint evaluation. The _Naive legs run the test-only
+// reference evaluator's stratified naive fixpoint
+// (tests/reference/reference.h); the _SemiNaive legs run the library's view
+// engine (views/engine.h).
 //
 // Two workload families:
 //  - PaperPipeline/*: the full Figure-1 rule stack (non-recursive) on
-//    growing stock universes — both strategies do one derivation pass per
-//    level, so this measures the delta bookkeeping overhead on the workload
-//    where semi-naive cannot win.
+//    growing stock universes — both do one derivation pass per stratum, so
+//    this measures the delta bookkeeping and absorb indexes against the
+//    reference's scan-only writes on the workload where semi-naive
+//    evaluation itself cannot win.
 //  - DateChainTC/*: per-stock transitive closure over next-trading-day
-//    chains (recursive) — the naive engine re-derives the whole closure
+//    chains (recursive) — the naive fixpoint re-derives the whole closure
 //    every pass, the semi-naive engine only extends the frontier. This is
 //    where the delta strategy earns its keep.
 //
@@ -16,12 +20,12 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "reference/reference.h"
 #include "views/engine.h"
 
 namespace {
 
 using idl::EvalOptions;
-using idl::EvalStrategy;
 using idl::ParseRule;
 using idl::Value;
 using idl::ViewEngine;
@@ -36,15 +40,23 @@ ViewEngine EngineFor(const std::vector<std::string>& rule_texts) {
   return engine;
 }
 
+// Which evaluator a leg runs.
+enum class Leg { kNaive, kSemiNaive, kSemiNaiveParallel };
+
 void RunMaterialize(benchmark::State& state, const ViewEngine& engine,
-                    const Value& universe, EvalStrategy strategy,
-                    size_t parallelism) {
+                    const Value& universe, Leg leg) {
   EvalOptions options;
-  options.strategy = strategy;
-  options.materialize_parallelism = parallelism;
+  options.materialize_parallelism = leg == Leg::kSemiNaiveParallel ? 0 : 1;
   uint64_t facts = 0;
   uint64_t skipped = 0;
   for (auto _ : state) {
+    if (leg == Leg::kNaive) {
+      auto m = idl::ReferenceMaterialize(engine.rules(), universe);
+      IDL_BENCH_CHECK(m.ok());
+      facts = m->facts_derived;
+      benchmark::DoNotOptimize(m->universe);
+      continue;
+    }
     auto m = engine.Materialize(universe, options);
     IDL_BENCH_CHECK(m.ok());
     facts = m->facts_derived;
@@ -57,23 +69,22 @@ void RunMaterialize(benchmark::State& state, const ViewEngine& engine,
 
 // ---- Non-recursive: the paper pipeline on growing universes ----------------
 
-void PaperPipeline(benchmark::State& state, EvalStrategy strategy,
-                   size_t parallelism) {
+void PaperPipeline(benchmark::State& state, Leg leg) {
   size_t stocks = static_cast<size_t>(state.range(0));
   idl::StockWorkload w = idl_bench::MakeWorkload(stocks, 30);
   Value universe = idl::BuildStockUniverse(w);
   ViewEngine engine = EngineFor(idl::PaperViewRules());
-  RunMaterialize(state, engine, universe, strategy, parallelism);
+  RunMaterialize(state, engine, universe, leg);
 }
 
 void BM_PaperPipeline_Naive(benchmark::State& state) {
-  PaperPipeline(state, EvalStrategy::kNaive, 1);
+  PaperPipeline(state, Leg::kNaive);
 }
 void BM_PaperPipeline_SemiNaive(benchmark::State& state) {
-  PaperPipeline(state, EvalStrategy::kSemiNaive, 1);
+  PaperPipeline(state, Leg::kSemiNaive);
 }
 void BM_PaperPipeline_SemiNaiveParallel(benchmark::State& state) {
-  PaperPipeline(state, EvalStrategy::kSemiNaive, 0);
+  PaperPipeline(state, Leg::kSemiNaiveParallel);
 }
 BENCHMARK(BM_PaperPipeline_Naive)->Arg(10)->Arg(100)->Arg(400);
 BENCHMARK(BM_PaperPipeline_SemiNaive)->Arg(10)->Arg(100)->Arg(400);
@@ -84,7 +95,7 @@ BENCHMARK(BM_PaperPipeline_SemiNaiveParallel)->Arg(10)->Arg(100)->Arg(400);
 // ource-style schematic shape: one base relation per stock (succ.<stk>)
 // holding that stock's next-trading-day edges, and a higher-order closure
 // rule deriving one reach.<stk> relation per stock. The fixpoint runs
-// chain-length passes; the naive engine re-derives every closure fact on
+// chain-length passes; the naive fixpoint re-derives every closure fact on
 // every pass, the semi-naive engine only extends each stock's frontier.
 
 Value ChainUniverse(size_t stocks, size_t days) {
@@ -114,23 +125,22 @@ const std::vector<std::string>& ReachRules() {
   return kRules;
 }
 
-void DateChainTC(benchmark::State& state, EvalStrategy strategy,
-                 size_t parallelism) {
+void DateChainTC(benchmark::State& state, Leg leg) {
   size_t stocks = static_cast<size_t>(state.range(0));
   size_t days = static_cast<size_t>(state.range(1));
   Value universe = ChainUniverse(stocks, days);
   ViewEngine engine = EngineFor(ReachRules());
-  RunMaterialize(state, engine, universe, strategy, parallelism);
+  RunMaterialize(state, engine, universe, leg);
 }
 
 void BM_DateChainTC_Naive(benchmark::State& state) {
-  DateChainTC(state, EvalStrategy::kNaive, 1);
+  DateChainTC(state, Leg::kNaive);
 }
 void BM_DateChainTC_SemiNaive(benchmark::State& state) {
-  DateChainTC(state, EvalStrategy::kSemiNaive, 1);
+  DateChainTC(state, Leg::kSemiNaive);
 }
 void BM_DateChainTC_SemiNaiveParallel(benchmark::State& state) {
-  DateChainTC(state, EvalStrategy::kSemiNaive, 0);
+  DateChainTC(state, Leg::kSemiNaiveParallel);
 }
 #define TC_ARGS \
   Args({10, 16})->Args({100, 16})->Args({1000, 16})->Args({10, 64})

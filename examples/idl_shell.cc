@@ -5,14 +5,6 @@
 //   build/examples/idl_shell                run the built-in demo script
 //
 // Flags (before the script argument):
-//   --strategy={naive,seminaive,parallel}   view materialization strategy
-//   --maintenance={incremental,rematerialize}
-//                                           keep materialized views current
-//                                           by delta propagation (default)
-//                                           or rebuild them from scratch
-//                                           after every update
-//   --substrate={columnar,nested}           evaluation substrate (columnar
-//                                           kernels vs tuple-at-a-time oracle)
 //   --site-latency-ms=N                     host the paper databases on
 //                                           simulated remote sites with N ms
 //                                           of request latency (federated
@@ -105,18 +97,12 @@ bool ParseIntegerFlag(const std::string& arg, std::string_view name, T lo,
   return true;
 }
 
-// Applies a script's directives to options the flags left unset, so demo
-// scripts behave the same when run bare: `% max-passes: N` (divergent
-// scripts terminate), `% maintenance: {incremental,rematerialize}` (a
-// script can pin how its view cache is kept current) and
-// `% trace: {text,json}` (the script asks for its own trace; timings are
-// masked so the transcript stays reproducible — tests/golden pins it).
-// Returns false, having printed why, when `% max-passes:` is malformed.
+// Applies a script's `% max-passes: N` directive when the flag left the
+// budget unset, so divergent demo scripts terminate when run bare. (The
+// `% trace: {text,json}` directive is read in main.) Returns false, having
+// printed why, when the directive is malformed.
 bool ApplyScriptDirectives(const std::string& script,
-                           idl::EvalOptions* request_options,
-                           idl::EvalOptions* materialize_options,
-                           bool maintenance_flag_given,
-                           bool substrate_flag_given) {
+                           idl::EvalOptions* request_options) {
   if (request_options->max_passes == 0) {
     idl::Result<int> passes = idl::MaxPassesDirective(script);
     if (!passes.ok()) {
@@ -124,27 +110,6 @@ bool ApplyScriptDirectives(const std::string& script,
       return false;
     }
     request_options->max_passes = *passes;
-  }
-  if (!maintenance_flag_given) {
-    if (script.find("% maintenance: rematerialize") != std::string::npos) {
-      materialize_options->maintenance =
-          idl::MaintenanceMode::kRematerialize;
-    } else if (script.find("% maintenance: incremental") !=
-               std::string::npos) {
-      materialize_options->maintenance = idl::MaintenanceMode::kIncremental;
-    }
-  }
-  // `% substrate: nested` pins a script to the tuple-at-a-time oracle
-  // (docs/COLUMNAR.md); transcripts must not depend on it, so this is a
-  // debugging/differential knob, not a semantic one.
-  if (!substrate_flag_given) {
-    if (script.find("% substrate: nested") != std::string::npos) {
-      request_options->substrate = idl::EvalSubstrate::kNested;
-      materialize_options->substrate = idl::EvalSubstrate::kNested;
-    } else if (script.find("% substrate: columnar") != std::string::npos) {
-      request_options->substrate = idl::EvalSubstrate::kColumnar;
-      materialize_options->substrate = idl::EvalSubstrate::kColumnar;
-    }
   }
   return true;
 }
@@ -242,19 +207,6 @@ Runs an IDL script (';'-separated rules, programs, queries and update
 requests) against the paper's three stock databases. With no script
 argument a built-in demo runs; '-' reads from stdin.
 
-  --strategy={naive,seminaive,parallel}  view materialization strategy
-  --maintenance={incremental,rematerialize}
-                        keep materialized views current by delta
-                        propagation (the default) or rebuild from scratch
-                        after every update; a script's
-                        '% maintenance: MODE' directive applies when this
-                        flag is not given (docs/INCREMENTAL.md)
-  --substrate={columnar,nested}
-                        evaluation substrate (docs/COLUMNAR.md): columnar
-                        pages with vectorized kernels (default) or the
-                        tuple-at-a-time oracle. Answers are identical by
-                        construction; a script's '% substrate: S' directive
-                        applies when this flag is not given
   --site-latency-ms=N   host the databases on simulated remote sites with
                         N ms request latency (0 = direct, the default)
   --deadline-ms=N       wall-clock budget per statement
@@ -305,10 +257,7 @@ that exceeds one aborts cleanly and leaves the universe untouched.
 
 int main(int argc, char** argv) {
   constexpr int kIntMax = std::numeric_limits<int>::max();
-  idl::EvalOptions eval_options;
   idl::EvalOptions request_options;
-  bool maintenance_flag_given = false;
-  bool substrate_flag_given = false;
   TraceMode trace_mode = TraceMode::kOff;
   bool trace_flag_given = false;
   int site_latency_ms = 0;
@@ -324,9 +273,6 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg.rfind("--", 0) == 0 && arg != "--") {
       bool known =
-          arg.rfind("--strategy=", 0) == 0 ||
-          arg.rfind("--maintenance=", 0) == 0 ||
-          arg.rfind("--substrate=", 0) == 0 ||
           arg.rfind("--site-latency-ms=", 0) == 0 ||
           arg.rfind("--deadline-ms=", 0) == 0 ||
           arg.rfind("--max-passes=", 0) == 0 ||
@@ -340,53 +286,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    if (arg.rfind("--strategy=", 0) == 0) {
-      std::string strategy = arg.substr(std::string("--strategy=").size());
-      if (strategy == "naive") {
-        eval_options.strategy = idl::EvalStrategy::kNaive;
-        eval_options.materialize_parallelism = 1;
-      } else if (strategy == "seminaive") {
-        eval_options.strategy = idl::EvalStrategy::kSemiNaive;
-        eval_options.materialize_parallelism = 1;
-      } else if (strategy == "parallel") {
-        eval_options.strategy = idl::EvalStrategy::kSemiNaive;
-        eval_options.materialize_parallelism = 0;  // auto-size the pool
-      } else {
-        std::printf(
-            "unknown --strategy '%s' (want naive, seminaive or parallel)\n",
-            strategy.c_str());
-        return 1;
-      }
-    } else if (arg.rfind("--maintenance=", 0) == 0) {
-      std::string mode = arg.substr(std::string("--maintenance=").size());
-      if (mode == "incremental") {
-        eval_options.maintenance = idl::MaintenanceMode::kIncremental;
-      } else if (mode == "rematerialize") {
-        eval_options.maintenance = idl::MaintenanceMode::kRematerialize;
-      } else {
-        std::printf(
-            "unknown --maintenance '%s' (want incremental or "
-            "rematerialize)\n",
-            mode.c_str());
-        return 1;
-      }
-      maintenance_flag_given = true;
-    } else if (arg.rfind("--substrate=", 0) == 0) {
-      std::string substrate = arg.substr(std::string("--substrate=").size());
-      if (substrate == "columnar") {
-        eval_options.substrate = idl::EvalSubstrate::kColumnar;
-        request_options.substrate = idl::EvalSubstrate::kColumnar;
-      } else if (substrate == "nested") {
-        eval_options.substrate = idl::EvalSubstrate::kNested;
-        request_options.substrate = idl::EvalSubstrate::kNested;
-      } else {
-        std::printf(
-            "unknown --substrate '%s' (want columnar or nested)\n",
-            substrate.c_str());
-        return 1;
-      }
-      substrate_flag_given = true;
-    } else if (arg.rfind("--site-latency-ms=", 0) == 0) {
+    if (arg.rfind("--site-latency-ms=", 0) == 0) {
       if (!ParseIntegerFlag(arg, "--site-latency-ms", 0, kIntMax,
                             &site_latency_ms)) {
         return 1;
@@ -482,8 +382,7 @@ int main(int argc, char** argv) {
           "--server-sessions\n");
       return 1;
     }
-    if (!ApplyScriptDirectives(script, &request_options, &eval_options,
-                               maintenance_flag_given, substrate_flag_given)) {
+    if (!ApplyScriptDirectives(script, &request_options)) {
       return 1;
     }
     auto spec = idl::ParseDurableScriptSpec(script);
@@ -491,7 +390,6 @@ int main(int argc, char** argv) {
       std::printf("bad wal directive: %s\n", spec.status().ToString().c_str());
       return 1;
     }
-    spec->materialize = eval_options;
     std::vector<std::pair<std::string, idl::Value>> seeds;
     if (!workload_spec.empty()) {
       auto config = idl::ParseWorkloadSpec(workload_spec);
@@ -541,13 +439,10 @@ int main(int argc, char** argv) {
       std::printf("--server-sessions is incompatible with --trace\n");
       return 1;
     }
-    if (!ApplyScriptDirectives(script, &request_options, &eval_options,
-                               maintenance_flag_given, substrate_flag_given)) {
+    if (!ApplyScriptDirectives(script, &request_options)) {
       return 1;
     }
-    idl::ServerOptions server_options;
-    server_options.materialize = eval_options;
-    idl::Server server(server_options);
+    idl::Server server;
     if (!workload_spec.empty()) {
       auto config = idl::ParseWorkloadSpec(workload_spec);
       if (!config.ok()) {
@@ -597,7 +492,6 @@ int main(int argc, char** argv) {
   }
 
   idl::Session session;
-  session.set_materialize_options(eval_options);
   // A shared gateway hosts whichever databases federated mode serves.
   std::shared_ptr<idl::Gateway> gateway;
   if (site_latency_ms > 0) gateway = std::make_shared<idl::Gateway>();
@@ -660,8 +554,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (!ApplyScriptDirectives(script, &request_options, &eval_options,
-                             maintenance_flag_given, substrate_flag_given)) {
+  if (!ApplyScriptDirectives(script, &request_options)) {
     return 1;
   }
   // A directive-requested trace masks its timings (the transcript must be
@@ -676,7 +569,6 @@ int main(int argc, char** argv) {
       mask_trace_timings = true;
     }
   }
-  session.set_materialize_options(eval_options);
   if (trace_mode != TraceMode::kOff) {
     idl::MetricsRegistry::Global().Reset();
     idl::Trace::Enable();

@@ -21,9 +21,10 @@ enum AbortReason : int {
   kAbortCells,
 };
 
-// Messages carry the configured limit, never a live counter: the naive and
-// semi-naive strategies reach a budget at different counter values, and the
-// golden corpus requires identical transcripts from both.
+// Messages carry the configured limit, never a live counter: the library's
+// semi-naive fixpoint and the naive reference evaluator the tests compare it
+// against reach a budget at different counter values, and the golden corpus
+// requires both to reject a request with the same text.
 Status StatusFor(int reason, const GovernorLimits& limits) {
   switch (reason) {
     case kNone:

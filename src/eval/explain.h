@@ -58,9 +58,8 @@ struct RuleTimingStats {
 
 // Per-evaluation-level accounting of one materialization (see
 // views/engine.h). A "stratum" here is one evaluation wave of the view
-// engine: under the semi-naive strategy all mutually independent rules at
-// the same topological depth form one wave; under the naive oracle each SCC
-// is its own wave.
+// engine: all mutually independent rules at the same topological depth form
+// one wave.
 struct StratumStats {
   int stratum = 0;        // wave id, in evaluation order
   int rules = 0;          // rules evaluated in this wave

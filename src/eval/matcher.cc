@@ -41,8 +41,8 @@ int CompareAtoms(const Value& a, const Value& b) {
 
 // The equality index over `attr`: element positions by the normalized hash
 // of their `attr` value. Positions are pushed in element order, so the
-// indexed path visits candidates exactly as a scan would (the columnar
-// substrate relies on this for transcript identity).
+// indexed path visits candidates exactly as a scan would (the vector
+// kernels rely on this for transcript identity).
 SetCache::AttrIndex BuildAttrIndex(const Value& set, std::string_view attr) {
   // A build walks the whole set, so it is worth a span; probes answered by
   // a built index are far too hot to trace (they show up as counters only).

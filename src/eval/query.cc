@@ -71,11 +71,10 @@ struct ConjunctChain {
   const std::function<bool(const Substitution&)>* cb;
   const ResourceGovernor* governor;
   Status error;
-  // Columnar substrate (null under EvalSubstrate::kNested): per-conjunct
-  // vector plans parallel to `conjuncts`. Vectorized and matched conjuncts
-  // interleave freely — emission happens through the same Step recursion
-  // either way, so checkpoint counts and substitution order are
-  // substrate-independent.
+  // Per-conjunct vector plans parallel to `conjuncts` (null when no
+  // conjunct compiled). Vectorized and matched conjuncts interleave freely —
+  // emission happens through the same Step recursion either way, so
+  // checkpoint counts and substitution order do not depend on which ran.
   const std::vector<std::optional<VectorConjunctPlan>>* plans = nullptr;
   const EvalOptions* options = nullptr;
   EvalStats* stats = nullptr;
@@ -155,23 +154,21 @@ Result<bool> EnumerateBindingsOver(
   Substitution sigma;
   ConjunctChain chain{&ordered, &matcher, &cb, governor, Status::Ok()};
 
-  // Columnar substrate: compile a vector plan per conjunct (static shape
-  // analysis, once per enumeration). Conjuncts the compiler rejects — and
-  // activations whose target set turns out not to be flat — keep the
-  // matcher, with identical semantics.
+  // Compile a vector plan per conjunct (static shape analysis, once per
+  // enumeration). Conjuncts the compiler rejects — and activations whose
+  // target set turns out not to be flat — keep the matcher, with identical
+  // semantics.
   std::vector<std::optional<VectorConjunctPlan>> plans;
-  if (options.substrate == EvalSubstrate::kColumnar) {
-    plans.reserve(ordered.size());
-    bool any = false;
-    for (const ConjunctSource& c : ordered) {
-      plans.push_back(CompileVectorConjunct(*c.expr));
-      any |= plans.back().has_value();
-    }
-    if (any) {
-      chain.plans = &plans;
-      chain.options = &options;
-      chain.stats = stats;
-    }
+  plans.reserve(ordered.size());
+  bool any = false;
+  for (const ConjunctSource& c : ordered) {
+    plans.push_back(CompileVectorConjunct(*c.expr));
+    any |= plans.back().has_value();
+  }
+  if (any) {
+    chain.plans = &plans;
+    chain.options = &options;
+    chain.stats = stats;
   }
 
   bool keep_going = chain.Step(0, &sigma);

@@ -36,45 +36,6 @@ struct Answer {
   std::string ToTable() const;
 };
 
-// How ViewEngine::Materialize evaluates rules (see views/engine.h).
-enum class EvalStrategy {
-  // Re-enumerate every rule body over the full universe each fixpoint pass.
-  // O(passes x rules x universe); kept as the differential-test oracle.
-  kNaive,
-  // Semi-naive delta evaluation: passes after the first only re-derive
-  // substitutions whose body touches a fact derived in the previous pass,
-  // with independent rules of one evaluation level run in parallel.
-  kSemiNaive,
-};
-
-// How the session keeps a cached materialization current across base
-// changes (see views/engine.h ApplyDelta and docs/INCREMENTAL.md).
-enum class MaintenanceMode {
-  // Propagate structured base deltas into the retained materialization:
-  // insertions semi-naively, everything else by delete-and-rederive
-  // restricted to the affected strata. Falls back to a full
-  // rematerialization whenever the delta cannot be maintained safely.
-  kIncremental,
-  // Discard and rebuild from scratch on every base change; kept as the
-  // differential oracle for the incremental path.
-  kRematerialize,
-};
-
-// Which physical representation evaluates flat relations (see
-// docs/COLUMNAR.md and relational/columnar.h).
-enum class EvalSubstrate {
-  // Vectorized kernels over per-attribute column vectors for flat
-  // relations, falling back to tuple-at-a-time matching for everything
-  // CompileVectorConjunct rejects (element-level attribute variables,
-  // negation, guards) and for non-flat sets. Transcript-identical to
-  // kNested by construction.
-  kColumnar,
-  // Tuple-at-a-time matching over nested Values everywhere; kept as the
-  // differential oracle (the same naive-vs-optimized proof pattern as
-  // EvalStrategy::kNaive and MaintenanceMode::kRematerialize).
-  kNested,
-};
-
 class ColumnarStore;
 
 struct EvalOptions {
@@ -86,19 +47,10 @@ struct EvalOptions {
   bool use_indexes = true;
   // Sets smaller than this are scanned, not indexed.
   size_t index_min_set_size = 32;
-  // Materialization only: fixpoint evaluation strategy.
-  EvalStrategy strategy = EvalStrategy::kSemiNaive;
-  // Materialization only: worker threads for rule-body evaluation under
-  // kSemiNaive. 0 = auto (hardware concurrency), 1 = serial, N = N-way.
-  // Results are identical for every value (writes stay sequential).
+  // Materialization only: worker threads for rule-body evaluation. 0 = auto
+  // (hardware concurrency), 1 = serial, N = N-way. Results are identical
+  // for every value (writes stay sequential).
   size_t materialize_parallelism = 0;
-  // Materialization only: how the session maintains the cached
-  // materialization across base changes. Incremental maintenance needs the
-  // per-level state only kSemiNaive records, so kNaive always
-  // rematerializes regardless of this setting.
-  MaintenanceMode maintenance = MaintenanceMode::kIncremental;
-  // Physical evaluation substrate for flat relations.
-  EvalSubstrate substrate = EvalSubstrate::kColumnar;
   // Read by nothing in the library: evaluation finds every page in its
   // set's cache slot, where ColumnarStore::Build attaches epoch pages. Kept
   // only because perfbench/replay.cc still sets it.

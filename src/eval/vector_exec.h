@@ -29,9 +29,9 @@
 // Equivalence contract (pinned by columnar_test and every differential
 // suite): for any conjunct it accepts, ExecuteVectorConjunct emits exactly
 // the substitutions Matcher::Match would, in the same order, with the same
-// error (and error timing) — so transcripts are byte-identical across
-// EvalSubstrate modes. Rows emit in element order; errors surface only if
-// some row reaches the erroring item, exactly like the scan.
+// error (and error timing) — so a transcript does not depend on which of
+// the two ran. Rows emit in element order; errors surface only if some row
+// reaches the erroring item, exactly like the scan.
 
 #ifndef IDL_EVAL_VECTOR_EXEC_H_
 #define IDL_EVAL_VECTOR_EXEC_H_

@@ -35,7 +35,6 @@
 #include "relational/pivot.h"
 #include "server/script_driver.h"
 #include "server/server.h"
-#include "server/trace_sweep.h"
 #include "syntax/analysis.h"
 #include "syntax/parser.h"
 #include "syntax/printer.h"

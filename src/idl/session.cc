@@ -324,22 +324,32 @@ Result<Answer> Session::QueryGoverned(const struct Query& query,
   // Ship path: with a federation and no view rules, fetch only what the
   // query needs — shipped selections for first-order subgoals, exports for
   // higher-order ones — and evaluate over the assembled universe.
+  Value assembled;
+  const Value* target = nullptr;
   if (federation_ != nullptr && views_.rules().empty()) {
     ShipPlan plan = PlanQuery(query, federation_->SiteNames());
     IDL_ASSIGN_OR_RETURN(Gateway::FederatedFetch fetch,
                          federation_->Fetch(plan, governor));
     degraded_sites_ = fetch.degraded;
-    Value assembled = base_;
+    assembled = base_;
     for (const auto& name : federation_->SiteNames()) {
       assembled.RemoveField(name);  // drop any stale replica
     }
     for (auto& [name, db] : fetch.site_databases) {
       assembled.SetField(name, std::move(db));
     }
-    return EvaluateQuery(assembled, query, options, &stats_, governor);
+    target = &assembled;
+  } else {
+    IDL_ASSIGN_OR_RETURN(target, universe(governor));
   }
-  IDL_ASSIGN_OR_RETURN(const Value* u, universe(governor));
-  return EvaluateQuery(*u, query, options, &stats_, governor);
+  // This query's own counters reach the process metrics (eval.*) before
+  // they join the session's cumulative stats, as ServerSession::Query does.
+  EvalStats query_stats;
+  Result<Answer> answer =
+      EvaluateQuery(*target, query, options, &query_stats, governor);
+  query_stats.BumpMetrics();
+  stats_ += query_stats;
+  return answer;
 }
 
 Status Session::EnsureMaterialized(const ResourceGovernor* request) {
@@ -368,11 +378,7 @@ Status Session::EnsureMaterialized(const ResourceGovernor* request) {
   MaintenanceStats carried;
   if (maintenance_available_) carried = materialized_.maintenance;
 
-  const bool maintaining =
-      maintenance_available_ &&
-      materialize_options_.maintenance == MaintenanceMode::kIncremental &&
-      materialize_options_.strategy == EvalStrategy::kSemiNaive;
-  if (maintaining && !pending_delta_.whole) {
+  if (maintenance_available_ && !pending_delta_.whole) {
     UniverseDelta delta = std::exchange(pending_delta_, UniverseDelta());
     Status applied;
     if (governed) {
@@ -404,7 +410,7 @@ Status Session::EnsureMaterialized(const ResourceGovernor* request) {
     // Not maintainable (whole-universe delta, missing retained state, an
     // evaluation error): fall through to the full rematerialization.
   }
-  const bool fell_back = maintaining;
+  const bool fell_back = maintenance_available_;
   maintenance_available_ = false;
   pending_delta_.Clear();
 
@@ -434,8 +440,7 @@ Status Session::EnsureMaterialized(const ResourceGovernor* request) {
   materialized_.federation = ExplainFederation();
   derived_paths_ = materialized_.derived_paths;
   materialized_valid_ = true;
-  maintenance_available_ =
-      materialize_options_.strategy == EvalStrategy::kSemiNaive;
+  maintenance_available_ = true;
   return Status::Ok();
 }
 

@@ -202,8 +202,9 @@ class Session {
   const EvalStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EvalStats(); }
 
-  // Options used when (re)materializing views — strategy and parallelism
-  // (see EvalOptions). Changing them invalidates the cached materialization.
+  // Options used when (re)materializing views — parallelism and governor
+  // budgets (see EvalOptions). Changing them invalidates the cached
+  // materialization, so the next request rebuilds it from scratch.
   void set_materialize_options(const EvalOptions& options) {
     materialize_options_ = options;
     Invalidate();
@@ -277,7 +278,7 @@ class Session {
   Materialized materialized_;
   bool materialized_valid_ = false;
   // True while materialized_ carries usable per-level maintenance state
-  // (set by a full kSemiNaive materialization, cleared by Invalidate and by
+  // (set by every full materialization, cleared by Invalidate and by
   // maintenance errors). Orthogonal to materialized_valid_: a stale-but-
   // maintainable cache has maintenance_available_ && !materialized_valid_.
   bool maintenance_available_ = false;

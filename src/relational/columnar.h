@@ -20,8 +20,8 @@
 //    across incompatible kinds, everything else is unordered
 //    (eval/matcher.cc EvalRelOp).
 //  * Equality probes hash numbers by their double value (with -0.0 folded
-//    onto +0.0) exactly like the matcher's equality indexes, so the two
-//    substrates agree on which rows an index probe finds.
+//    onto +0.0) exactly like the matcher's equality indexes, so the page
+//    and the matcher agree on which rows an index probe finds.
 //  * A ColumnarRelation is immutable after construction and safe to share
 //    across threads: the lazy per-column hash indexes are built under a
 //    mutex and published with release/acquire atomics, so concurrent

@@ -83,7 +83,7 @@ struct DurableScriptSpec {
   CrashPoint crash_at = CrashPoint::kAfterAppend;
   size_t crash_after = 0;
   // Materialization options for the durable server (not a directive — the
-  // caller sets it; the corpus runs each wal script under both strategies).
+  // caller sets it; the corpus passes its `% max-passes:` budget).
   EvalOptions materialize;
 };
 

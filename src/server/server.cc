@@ -411,7 +411,7 @@ Status Server::PublishLocked() {
   epoch->id = next_epoch_id_++;
   epoch->universe = std::move(universe);
   epoch->derived_paths = session_.derived_paths();
-  if (options_.materialize.substrate == EvalSubstrate::kColumnar) {
+  {
     // The outgoing epoch stays alive across Build (readers hold it too), so
     // unchanged relations share its immutable pages instead of re-encoding.
     EpochPtr previous;

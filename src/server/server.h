@@ -72,7 +72,7 @@ struct Epoch {
   // sets' cache slots at publication (docs/COLUMNAR.md). Pages are immutable
   // and refcounted: relations unchanged since the previous epoch share that
   // epoch's pages rather than re-encoding, and reader sessions on either
-  // epoch keep the shared page alive. Null under EvalSubstrate::kNested.
+  // epoch keep the shared page alive.
   std::shared_ptr<const ColumnarStore> columnar;
   std::chrono::steady_clock::time_point published_at;
 };
@@ -102,8 +102,8 @@ struct ServerOptions {
   // Commit-queue bound: an Update arriving while this many commits are
   // already pending is rejected with kResourceExhausted.
   size_t max_pending_commits = 64;
-  // Materialization options of the inner session (strategy, parallelism,
-  // maintenance mode). Incremental maintenance needs kSemiNaive.
+  // Materialization options of the inner session (parallelism and
+  // governor budgets).
   EvalOptions materialize;
   DurabilityOptions durability;
 };

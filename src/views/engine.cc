@@ -140,23 +140,22 @@ class HeadWriter {
  public:
   explicit HeadWriter(Materialized* out) : out_(out) {}
 
-  // Columnar substrate: maintain a per-set absorb index so the set case
-  // probes a handful of candidate elements instead of scanning the whole
-  // relation per derived fact (docs/COLUMNAR.md). The batch path visits
-  // candidates in ascending element order and verifies each with the exact
-  // scan predicate, so the element it picks — and therefore the universe it
-  // produces — is byte-identical to the scan's.
-  void EnableBatchAbsorb() { batch_enabled_ = true; }
-
   // §6's recursive MakeTrue, with absorb-before-insert at sets. When `delta`
   // is non-null it mirrors `slot`: every change is recorded into it — a set
   // gains the new/extended element, an atom the new value, a tuple the
   // touched attribute path — so the next semi-naive pass can match rule
   // bodies against just the facts this pass produced. Nested sets inside a
   // set element are covered by recording the whole element at the outer set.
+  //
+  // A keyed flat head keeps a per-set absorb index, so the set case probes
+  // a handful of candidate elements instead of scanning the whole relation
+  // per derived fact (docs/COLUMNAR.md). The batch path visits candidates in
+  // ascending element order and verifies each with the exact scan
+  // predicate, so the element it picks — and therefore the universe it
+  // produces — is byte-identical to the scan's.
   Status MakeTrue(Value* slot, const Expr& expr, const Substitution& sigma,
                   Value* delta) {
-    return MakeTrueImpl(slot, expr, sigma, delta, batch_enabled_);
+    return MakeTrueImpl(slot, expr, sigma, delta, /*batch=*/true);
   }
 
  private:
@@ -303,8 +302,8 @@ class HeadWriter {
         {
           Materialized scratch;
           HeadWriter sub(&scratch);
-          IDL_RETURN_IF_ERROR(sub.MakeTrue(&candidate, inner, sigma,
-                                           nullptr));
+          IDL_RETURN_IF_ERROR(sub.MakeTrueImpl(&candidate, inner, sigma,
+                                               nullptr, /*batch=*/false));
         }
         // (1) Exactly present already: nothing to do (hash lookup — this is
         // the common case on fixpoint re-derivation).
@@ -382,8 +381,8 @@ class HeadWriter {
           return Status::Ok();
         };
 
-        // Batch absorb (columnar substrate): probe the absorb index on the
-        // composite key of the key items instead of scanning. Candidate
+        // Batch absorb: probe the absorb index on the composite key of the
+        // key items instead of scanning. Candidate
         // order is ascending, verification is `flat_ok` — scan-identical.
         auto is_key = [&](size_t k) {
           return probe[k].constrained && !inner.items[k].attr_is_var;
@@ -534,7 +533,6 @@ class HeadWriter {
   }
 
   Materialized* out_;
-  bool batch_enabled_ = false;
   // Scratch for one batched absorb's key bucket, reused across facts. Safe
   // because the batch path recurses only into flat elements, which never
   // reach a set case.
@@ -575,7 +573,7 @@ class WrittenPaths {
 };
 
 // Records a processed body substitution: derived-path bookkeeping plus the
-// head write (shared by both strategies). Charges the governor one
+// head write. Charges the governor one
 // derivation step plus one cell per universe change the head write makes.
 Status ProcessSubstitution(const Rule& rule, const Substitution& sigma,
                            HeadWriter* writer, Materialized* m,
@@ -618,102 +616,7 @@ std::vector<std::string> UnionOfLevels(
   return std::vector<std::string>(all.begin(), all.end());
 }
 
-// ---- kNaive: the original strategy, kept verbatim as the test oracle -------
-
-Result<Materialized> MaterializeNaive(const std::vector<Rule>& rules,
-                                      const Value& base,
-                                      const EvalOptions& options,
-                                      EvalStats* stats,
-                                      const ResourceGovernor* governor) {
-  TraceSpan mat_span("materialize",
-                     StrCat("strategy=naive rules=", rules.size()));
-  auto mat_start = std::chrono::steady_clock::now();
-  Materialized m;
-  m.universe = base;
-  IDL_RETURN_IF_ERROR(ChargeBaseCells(base, governor));
-
-  IDL_ASSIGN_OR_RETURN(Stratification strat, Stratify(rules));
-  std::vector<std::vector<size_t>> by_stratum(
-      static_cast<size_t>(std::max(strat.num_strata, 0)));
-  for (size_t i = 0; i < rules.size(); ++i) {
-    by_stratum[strat.stratum[i]].push_back(i);
-  }
-
-  WrittenPaths derived;
-  HeadWriter writer(&m);
-  EvalStats run_stats;  // this run only; merged into *stats at the end
-
-  for (int s = 0; s < strat.num_strata; ++s) {
-    bool recursive = strat.stratum_recursive[s];
-    TraceSpan stratum_span(
-        "stratum", StrCat("level=", s, " rules=", by_stratum[s].size(),
-                          recursive ? " recursive" : ""));
-    auto start = std::chrono::steady_clock::now();
-    int64_t cpu_start = ThreadCpuNs();
-    StratumStats row;
-    row.stratum = s;
-    row.rules = static_cast<int>(by_stratum[s].size());
-    row.recursive = recursive;
-    row.rule_timings.resize(by_stratum[s].size());
-    for (size_t k = 0; k < by_stratum[s].size(); ++k) {
-      RuleTimingStats& timing = row.rule_timings[k];
-      timing.rule = static_cast<int>(by_stratum[s][k]);
-      Result<RelRef> head = HeadTarget(rules[by_stratum[s][k]]);
-      timing.head = head.ok() ? head->ToString() : "?";
-    }
-    while (true) {
-      if (governor != nullptr) IDL_RETURN_IF_ERROR(governor->ChargePass());
-      uint64_t changes_before = m.changes;
-      for (size_t k = 0; k < by_stratum[s].size(); ++k) {
-        const size_t rule_index = by_stratum[s][k];
-        const Rule& rule = rules[rule_index];
-        RuleTimingStats& timing = row.rule_timings[k];
-        if (governor != nullptr) IDL_RETURN_IF_ERROR(governor->Checkpoint());
-        // Materialize the body bindings *before* writing any head instance
-        // (the body reads the same universe the head writes).
-        auto enum_start = std::chrono::steady_clock::now();
-        std::vector<Substitution> sigmas;
-        Result<bool> r = EnumerateBindings(
-            m.universe, rule.body, options, &run_stats,
-            [&](const Substitution& sigma) {
-              sigmas.push_back(sigma);
-              return true;
-            },
-            governor);
-        if (!r.ok()) {
-          return r.status().WithContext(
-              StrCat("evaluating body of '", rule.source, "'"));
-        }
-        timing.enumerate_ms += MsSince(enum_start);
-        ++timing.passes;
-        timing.substitutions += sigmas.size();
-        row.substitutions += sigmas.size();
-        auto write_start = std::chrono::steady_clock::now();
-        for (const auto& sigma : sigmas) {
-          IDL_RETURN_IF_ERROR(ProcessSubstitution(rule, sigma, &writer, &m,
-                                                  &derived, nullptr,
-                                                  governor));
-        }
-        timing.write_ms += MsSince(write_start);
-      }
-      ++m.fixpoint_passes;
-      ++row.passes;
-      if (!recursive || m.changes == changes_before) break;
-    }
-    row.wall_ms = MsSince(start);
-    row.cpu_ms = CpuMsSince(cpu_start);
-    m.cpu_ms += row.cpu_ms;
-    m.stratum_stats.push_back(row);
-  }
-
-  m.derived_paths = derived.Sorted();
-  m.wall_ms = MsSince(mat_start);
-  if (stats != nullptr) *stats += run_stats;
-  BumpEngineMetrics(m, run_stats);
-  return m;
-}
-
-// ---- kSemiNaive: delta-driven fixpoint with parallel rule evaluation -------
+// ---- Semi-naive: delta-driven fixpoint with parallel rule evaluation ------
 //
 // The per-level wave is shared between full materialization and incremental
 // maintenance (ViewEngine::ApplyDelta): SemiNaiveContext carries everything
@@ -805,9 +708,6 @@ Result<StratumStats> RunLevelWave(SemiNaiveContext* ctx, int level,
   const ResourceGovernor* governor = ctx->governor;
   Materialized& m = *ctx->m;
   HeadWriter writer(&m);
-  if (options.substrate == EvalSubstrate::kColumnar) {
-    writer.EnableBatchAbsorb();
-  }
   TraceSpan wave_span(
       "stratum", StrCat("level=", level, " rules=", level_rules.size(),
                         recursive ? " recursive" : "",
@@ -1364,12 +1264,8 @@ Result<Materialized> ViewEngine::Materialize(const Value& base,
                                              EvalStats* stats,
                                              const ResourceGovernor* governor)
     const {
-  EvalStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
   Result<Materialized> r =
-      options.strategy == EvalStrategy::kNaive
-          ? MaterializeNaive(rules_, base, options, stats, governor)
-          : MaterializeSemiNaive(rules_, base, options, stats, governor);
+      MaterializeSemiNaive(rules_, base, options, stats, governor);
   if (r.ok() && governor != nullptr) {
     r->governor = FormatGovernorUsage(governor->Usage(), governor->limits());
   }

@@ -12,34 +12,28 @@
 // a contradicting value (a price discrepancy) still yields a second tuple —
 // exactly the behaviour §6 describes ("both prices are in the user's view").
 //
-// Two fixpoint strategies (EvalOptions::strategy):
+// The fixpoint is semi-naive. Rules are grouped into topological *levels*
+// (independent SCCs of equal depth merged into one wave). Each pass first
+// enumerates all rule bodies read-only — concurrently on a thread pool when
+// materialize_parallelism allows — then writes all heads sequentially in
+// rule order, recording every change into a *delta universe* when a later
+// pass or level reads it (a non-recursive level of a full run records
+// none). Passes after the first replace, one at a time, each body conjunct
+// that may read this level's heads with the delta universe, so only
+// substitutions touching a newly derived fact are re-derived. Pages and
+// equality indexes live in each set's cache slot (Value::set_cache), so they
+// persist across rules, passes and waves until the set itself is written.
 //
-//  * kNaive — strata (SCCs) in topological order; every pass of a recursive
-//    stratum re-enumerates every rule body over the whole universe. Simple,
-//    and kept as the oracle for tests/differential_engine_test.cc.
+// Heads are written in rule order with a fixed per-rule substitution order,
+// so a non-recursive program's result is bit-identical to the naive
+// stratified fixpoint's; a recursive program converges to the same fixpoint
+// (set equality) whenever derivations are confluent. The differential
+// suites check both against the test-only reference evaluator
+// (tests/reference/reference.h).
 //
-//  * kSemiNaive (default) — rules are grouped into topological *levels*
-//    (independent SCCs of equal depth merged into one wave). Each pass
-//    first enumerates all rule bodies read-only — concurrently on a thread
-//    pool when materialize_parallelism allows — then writes all heads
-//    sequentially in rule order, recording every change into a *delta
-//    universe* when a later pass or level reads it (a non-recursive level
-//    of a full run records none). Passes after the first replace, one at a
-//    time, each body conjunct that may read this level's heads with the
-//    delta universe, so only substitutions touching a newly derived fact
-//    are re-derived. Pages and equality indexes live in each set's cache
-//    slot (Value::set_cache), so they persist across rules, passes and
-//    waves until the set itself is written.
-//
-// Both strategies write heads in rule order with identical per-rule
-// substitution enumeration order, so for non-recursive programs the results
-// are bit-identical; for recursive programs they converge to the same
-// fixpoint (set equality) whenever derivations are confluent, which the
-// differential harness checks on the whole paper corpus.
-//
-// A kSemiNaive materialization additionally retains per-level maintenance
-// state (Materialized::level_written) so ApplyDelta can bring it up to date
-// after a base change without re-running the whole fixpoint — insertions by
+// A materialization retains per-level maintenance state
+// (Materialized::level_written) so ApplyDelta can bring it up to date after
+// a base change without re-running the whole fixpoint — insertions by
 // seeded semi-naive propagation, everything else by delete-and-rederive
 // restricted to the affected levels (docs/INCREMENTAL.md).
 
@@ -69,7 +63,7 @@ struct Materialized {
   uint64_t changes = 0;        // MakeTrue calls that changed the universe
   int fixpoint_passes = 0;     // total rule-evaluation passes across strata
 
-  // Semi-naive observability (all zero under kNaive except stratum_stats).
+  // Semi-naive observability.
   uint64_t delta_size = 0;             // facts recorded into read deltas
   uint64_t substitutions_skipped = 0;  // replays avoided vs naive (estimate)
   uint64_t indexes_reused = 0;         // index probes served without a build
@@ -85,13 +79,12 @@ struct Materialized {
   double cpu_ms = 0.0;
 
   // ---- Incremental-maintenance state (views/delta.h, ApplyDelta) -----------
-  // Per evaluation level (kSemiNaive only): the concrete "db"/"db.rel" paths
-  // the level's rules actually wrote, recorded from derivations. For
-  // higher-order heads the static target is data-dependent, which is exactly
-  // why ApplyDelta's affectedness test consults these recorded paths instead
-  // of head references: a HO stratum only invalidates when a relation it
-  // *read* or *wrote* changed. Empty under kNaive, which therefore never
-  // maintains incrementally.
+  // Per evaluation level: the concrete "db"/"db.rel" paths the level's
+  // rules actually wrote, recorded from derivations. For higher-order heads
+  // the static target is data-dependent, which is exactly why ApplyDelta's
+  // affectedness test consults these recorded paths instead of head
+  // references: a HO stratum only invalidates when a relation it *read* or
+  // *wrote* changed.
   std::vector<std::vector<std::string>> level_written;
   // Maintenance counters accumulated across ApplyDelta calls (and fallback
   // rematerializations, which the session carries over).
@@ -127,9 +120,9 @@ class ViewEngine {
   const std::vector<Rule>& rules() const { return rules_; }
   void Clear() { rules_.clear(); }
 
-  // Evaluates all rules against `base`, stratum by stratum, iterating each
-  // recursive stratum to fixpoint. Strategy and parallelism come from
-  // `options` (EvalOptions() means semi-naive, auto parallelism).
+  // Evaluates all rules against `base`, level by level, iterating each
+  // recursive level to fixpoint. Parallelism comes from `options`
+  // (EvalOptions() means auto parallelism).
   //
   // `governor`, when non-null, is polled per fixpoint pass, per rule batch,
   // and per derivation (including inside thread-pool workers): a cancelled
@@ -144,8 +137,8 @@ class ViewEngine {
                                    const ResourceGovernor* governor =
                                        nullptr) const;
 
-  // Incrementally updates `m` — a kSemiNaive Materialize result over the
-  // base universe *before* the change — to equal Materialize(base_after),
+  // Incrementally updates `m` — a Materialize result over the base
+  // universe *before* the change — to equal Materialize(base_after),
   // where `base_after` differs from that base exactly as `delta` describes.
   //
   //  * Pure insertions (delta.dirty empty) are mirrored into the retained
@@ -164,7 +157,7 @@ class ViewEngine {
   // are then non-monotone).
   //
   // Returns kFailedPrecondition when `m` carries no usable maintenance
-  // state (kNaive result, rule set changed, whole-universe delta) — the
+  // state (rule set changed, whole-universe delta) — the
   // caller should fall back to a full rematerialization. Any other error
   // (governor aborts included) leaves `m` in an unspecified state: discard
   // it and rematerialize from the pristine base (the session does).

@@ -10,9 +10,9 @@
 //  - epoch page sharing in ColumnarStore::Build;
 //  - zero non-flat fallbacks when the queried relations are flat;
 //  - relation-variable conjuncts (`.db.R(…)`, §4.3) emitting exactly the
-//    nested matcher's substitutions, errors and error timing, attribute
-//    enumeration counts and early stop — including the whole-activation
-//    fallback when one relation is not flat;
+//    reference evaluator's substitutions, errors and error timing,
+//    attribute enumeration counts and early stop — including the
+//    whole-activation fallback when one relation is not flat;
 //  - the batch absorber verifying at most one candidate per absorb on the
 //    paper's views, whatever the stock count.
 
@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "object/date.h"
 #include "object/value.h"
 #include "object/value_io.h"
+#include "reference/reference.h"
 #include "syntax/parser.h"
 #include "views/engine.h"
 #include "workload/discrepancy_gen.h"
@@ -379,9 +381,8 @@ TEST(ColumnarStoreTest, EpochPageSharing) {
 }
 
 TEST(ColumnarFallbacks, FlatRelationsNeverFallBack) {
-  // A flat universe queried under the columnar substrate must vectorize
-  // every eligible conjunct activation and never fall back to the nested
-  // matcher for non-flatness.
+  // A flat universe must vectorize every eligible conjunct activation and
+  // never fall back to the matcher for non-flatness.
   Value universe = Value::EmptyTuple();
   Value db = Value::EmptyTuple();
   Value r = Value::EmptySet();
@@ -402,7 +403,7 @@ TEST(ColumnarFallbacks, FlatRelationsNeverFallBack) {
 
   auto query = ParseQuery("?.dbI.p(.date=D, .stk=ibm, .px>120)");
   ASSERT_TRUE(query.ok());
-  EvalOptions options;  // substrate defaults to kColumnar
+  EvalOptions options;
   auto columnar = EvaluateQuery(universe, *query, options, nullptr, nullptr);
   ASSERT_TRUE(columnar.ok());
   EXPECT_GT(columnar->rows.size(), 0u);
@@ -410,18 +411,13 @@ TEST(ColumnarFallbacks, FlatRelationsNeverFallBack) {
   EXPECT_EQ(fallbacks->value(), fallbacks_before);
   EXPECT_GT(activations->value(), activations_before);
 
-  // Differential: identical answer under the tuple-at-a-time substrate.
-  EvalOptions nested;
-  nested.substrate = EvalSubstrate::kNested;
-  auto oracle = EvaluateQuery(universe, *query, nested, nullptr, nullptr);
+  // Differential: identical answer from the tuple-at-a-time reference,
+  // which runs no vector kernel at all.
+  uint64_t activations_mid = activations->value();
+  auto oracle = ReferenceQuery(universe, *query);
   ASSERT_TRUE(oracle.ok());
   EXPECT_EQ(columnar->columns, oracle->columns);
   EXPECT_EQ(columnar->rows, oracle->rows);
-
-  // And the nested substrate compiles no vector plans at all.
-  uint64_t activations_mid = activations->value();
-  auto again = EvaluateQuery(universe, *query, nested, nullptr, nullptr);
-  ASSERT_TRUE(again.ok());
   EXPECT_EQ(activations->value(), activations_mid);
 }
 
@@ -435,43 +431,47 @@ struct Enumeration {
   uint64_t attrs_enumerated = 0;
 };
 
+// The library's enumeration, or with `reference` the reference evaluator's
+// at the library's index threshold — the tuple-at-a-time matcher with the
+// same per-attribute equality indexes.
 Enumeration Enumerate(const Value& universe, const std::string& text,
-                      EvalSubstrate substrate, size_t stop_after = 0) {
+                      size_t stop_after = 0, bool reference = false) {
   auto query = ParseQuery(text);
   EXPECT_TRUE(query.ok()) << text;
   Enumeration out;
   if (!query.ok()) return out;
-  EvalOptions options;
-  options.substrate = substrate;
   EvalStats stats;
-  Result<bool> r = EnumerateBindings(
-      universe, query->conjuncts, options, &stats,
-      [&](const Substitution& sigma) {
-        std::string row;
-        for (const auto& b : sigma.bindings()) {
-          row += b.var + "=" + ToString(b.value) + " ";
-        }
-        out.emitted.push_back(std::move(row));
-        return stop_after == 0 || out.emitted.size() < stop_after;
-      });
+  auto collect = [&](const Substitution& sigma) {
+    std::string row;
+    for (const auto& b : sigma.bindings()) {
+      row += b.var + "=" + ToString(b.value) + " ";
+    }
+    out.emitted.push_back(std::move(row));
+    return stop_after == 0 || out.emitted.size() < stop_after;
+  };
+  Result<bool> r =
+      reference ? ReferenceEnumerate(universe, query->conjuncts, collect,
+                                     &stats, nullptr,
+                                     EvalOptions().index_min_set_size)
+                : EnumerateBindings(universe, query->conjuncts, EvalOptions(),
+                                    &stats, collect);
   out.status = r.ok() ? (*r ? "done" : "stopped") : r.status().ToString();
   out.attrs_enumerated = stats.attrs_enumerated;
   return out;
 }
 
-// Columnar and nested substrates must agree on every emission (order
+// The library and the reference must agree on every emission (order
 // included), on the error and the point it surfaces, and on how many
 // attribute names the relation variable tried.
-void ExpectSubstratesAgree(const Value& universe, const std::string& text,
+void ExpectReferenceAgrees(const Value& universe, const std::string& text,
                            size_t stop_after = 0) {
   SCOPED_TRACE(text);
-  Enumeration columnar =
-      Enumerate(universe, text, EvalSubstrate::kColumnar, stop_after);
-  Enumeration nested =
-      Enumerate(universe, text, EvalSubstrate::kNested, stop_after);
-  EXPECT_EQ(columnar.emitted, nested.emitted);
-  EXPECT_EQ(columnar.status, nested.status);
-  EXPECT_EQ(columnar.attrs_enumerated, nested.attrs_enumerated);
+  Enumeration library = Enumerate(universe, text, stop_after);
+  Enumeration reference =
+      Enumerate(universe, text, stop_after, /*reference=*/true);
+  EXPECT_EQ(library.emitted, reference.emitted);
+  EXPECT_EQ(library.status, reference.status);
+  EXPECT_EQ(library.attrs_enumerated, reference.attrs_enumerated);
 }
 
 uint64_t CounterValue(const char* name) {
@@ -530,19 +530,19 @@ TEST(ColumnarRelationVariable, UnboundVisitsEveryRelationInFieldOrder) {
   Value universe = RelationVariableUniverse();
   // Empty relations, an atom and a tuple among the fields: counted as
   // enumerated attribute names, matching nothing.
-  ExpectSubstratesAgree(universe, "?.lead.R(.k=K, .v=V)");
-  ExpectSubstratesAgree(universe, "?.lead.R(.k=3, .v=V)");  // index probe
-  ExpectSubstratesAgree(universe, "?.lead.R(.v>300)");
-  ExpectSubstratesAgree(universe, "?.lead.R(.missing=M)");
-  ExpectSubstratesAgree(universe, "?.lead.R(.k=K), .lead.R(.v=K)");
-  ExpectSubstratesAgree(universe, "?.nodb.R(.k=K)");
-  ExpectSubstratesAgree(universe, "?.lead.c.R(.k=K)");  // not a tuple of sets
+  ExpectReferenceAgrees(universe, "?.lead.R(.k=K, .v=V)");
+  ExpectReferenceAgrees(universe, "?.lead.R(.k=3, .v=V)");  // index probe
+  ExpectReferenceAgrees(universe, "?.lead.R(.v>300)");
+  ExpectReferenceAgrees(universe, "?.lead.R(.missing=M)");
+  ExpectReferenceAgrees(universe, "?.lead.R(.k=K), .lead.R(.v=K)");
+  ExpectReferenceAgrees(universe, "?.nodb.R(.k=K)");
+  ExpectReferenceAgrees(universe, "?.lead.c.R(.k=K)");  // not a tuple of sets
 
   Counter* activations =
       MetricsRegistry::Global().counter("columnar.vector_activations");
   uint64_t before = activations->value();
   Enumeration e =
-      Enumerate(universe, "?.lead.R(.k=K, .v=V)", EvalSubstrate::kColumnar);
+      Enumerate(universe, "?.lead.R(.k=K, .v=V)");
   EXPECT_EQ(e.emitted.size(), 120u);
   EXPECT_EQ(e.attrs_enumerated, 6u);  // a, b, c, d, e, f
   EXPECT_EQ(activations->value() - before, 1u);
@@ -553,9 +553,8 @@ TEST(ColumnarRelationVariable, BoundVariableVisitsOnlyTheNamedField) {
   // names.n binds R to "e" (a set), "zz" (absent), 5 (not a string), "b"
   // (an atom) and "d" (a set): only the two sets match, and a bound
   // variable enumerates no attribute names.
-  ExpectSubstratesAgree(universe, "?.names.n(.rel=R), .lead.R(.k=2, .v=V)");
-  Enumeration e = Enumerate(universe, "?.names.n(.rel=R), .lead.R(.k=2)",
-                            EvalSubstrate::kColumnar);
+  ExpectReferenceAgrees(universe, "?.names.n(.rel=R), .lead.R(.k=2, .v=V)");
+  Enumeration e = Enumerate(universe, "?.names.n(.rel=R), .lead.R(.k=2)");
   EXPECT_EQ(e.emitted.size(), 9u);  // 4 rows with k=2 in e, then 5 in d
   EXPECT_EQ(e.attrs_enumerated, 0u);
 }
@@ -563,11 +562,11 @@ TEST(ColumnarRelationVariable, BoundVariableVisitsOnlyTheNamedField) {
 TEST(ColumnarRelationVariable, VariableReusedInsideTheItems) {
   Value universe = RelationVariableUniverse();
   // The relation's name filters its own `name` column.
-  ExpectSubstratesAgree(universe, "?.lead.S(.name=S)");
-  ExpectSubstratesAgree(universe, "?.lead.S(.name=S, .k=K)");
-  ExpectSubstratesAgree(universe, "?.lead.S(.name!=S, .v<100)");
+  ExpectReferenceAgrees(universe, "?.lead.S(.name=S)");
+  ExpectReferenceAgrees(universe, "?.lead.S(.name=S, .k=K)");
+  ExpectReferenceAgrees(universe, "?.lead.S(.name!=S, .v<100)");
   Enumeration e =
-      Enumerate(universe, "?.lead.S(.name=S, .k=K)", EvalSubstrate::kColumnar);
+      Enumerate(universe, "?.lead.S(.name=S, .k=K)");
   EXPECT_GT(e.emitted.size(), 0u);
   EXPECT_LT(e.emitted.size(), 120u);
 }
@@ -576,26 +575,24 @@ TEST(ColumnarRelationVariable, ErrorsSurfaceAtTheWrittenPoint) {
   Value universe = RelationVariableUniverse();
   // X is unbound under `<`: the empty relation and the non-sets before the
   // first relation with a row raise nothing; the first row raises.
-  ExpectSubstratesAgree(universe, "?.lead.R(.v<X)");
+  ExpectReferenceAgrees(universe, "?.lead.R(.v<X)");
   Enumeration e =
-      Enumerate(universe, "?.lead.R(.v<X)", EvalSubstrate::kColumnar);
+      Enumerate(universe, "?.lead.R(.v<X)");
   EXPECT_NE(e.status.find("variable X is unbound"), std::string::npos)
       << e.status;
   // No row survives `.k=11`, so the erroring item is never reached.
-  ExpectSubstratesAgree(universe, "?.lead.R(.k=11, .v<X)");
-  EXPECT_EQ(Enumerate(universe, "?.lead.R(.k=11, .v<X)",
-                      EvalSubstrate::kColumnar)
+  ExpectReferenceAgrees(universe, "?.lead.R(.k=11, .v<X)");
+  EXPECT_EQ(Enumerate(universe, "?.lead.R(.k=11, .v<X)")
                 .status,
             "done");
   // Rows of earlier relations emit before a later one divides by zero.
-  ExpectSubstratesAgree(universe, "?.lead.R(.k=K, .v=V), V > 10 / K");
-  Enumeration divided = Enumerate(universe, "?.lead.R(.k=K, .v=V), V > 10 / K",
-                                  EvalSubstrate::kColumnar);
+  ExpectReferenceAgrees(universe, "?.lead.R(.k=K, .v=V), V > 10 / K");
+  Enumeration divided = Enumerate(universe, "?.lead.R(.k=K, .v=V), V > 10 / K");
   EXPECT_GT(divided.emitted.size(), 0u);
   EXPECT_NE(divided.status.find("division by zero"), std::string::npos)
       << divided.status;
   // Arithmetic on the relation name itself.
-  ExpectSubstratesAgree(universe, "?.lead.R(.v=V, .k>R+1)");
+  ExpectReferenceAgrees(universe, "?.lead.R(.v=V, .k>R+1)");
 }
 
 TEST(ColumnarRelationVariable, NonFlatRelationSendsTheWholeActivationBack) {
@@ -606,34 +603,34 @@ TEST(ColumnarRelationVariable, NonFlatRelationSendsTheWholeActivationBack) {
       MetricsRegistry::Global().counter("columnar.vector_activations");
   uint64_t fallbacks_before = fallbacks->value();
   uint64_t activations_before = activations->value();
-  Enumeration e = Enumerate(universe, "?.mix.R(.k=K)", EvalSubstrate::kColumnar);
+  Enumeration e = Enumerate(universe, "?.mix.R(.k=K)");
   // One fallback for the activation, no vectorized rows, and every row
   // emitted once: a (2), h (1), z (2).
   EXPECT_EQ(fallbacks->value() - fallbacks_before, 1u);
   EXPECT_EQ(activations->value() - activations_before, 0u);
   EXPECT_EQ(e.emitted.size(), 5u);
-  ExpectSubstratesAgree(universe, "?.mix.R(.k=K)");
+  ExpectReferenceAgrees(universe, "?.mix.R(.k=K)");
   // Bound to a flat relation of the same database, it stays vectorized.
   fallbacks_before = fallbacks->value();
-  ExpectSubstratesAgree(universe, "?.names.n(.rel=R), .mix.R(.k=K)");
+  ExpectReferenceAgrees(universe, "?.names.n(.rel=R), .mix.R(.k=K)");
   EXPECT_EQ(fallbacks->value(), fallbacks_before);
 }
 
 TEST(ColumnarRelationVariable, EarlyStopAndRowCap) {
   Value universe = RelationVariableUniverse();
   for (size_t stop : {1u, 39u, 40u, 41u, 100u}) {
-    ExpectSubstratesAgree(universe, "?.lead.R(.k=K, .v=V)", stop);
+    ExpectReferenceAgrees(universe, "?.lead.R(.k=K, .v=V)", stop);
   }
   auto query = ParseQuery("?.lead.R(.k=K, .v=V)");
   ASSERT_TRUE(query.ok());
-  EvalOptions columnar;
-  columnar.max_rows = 45;
-  EvalOptions nested = columnar;
-  nested.substrate = EvalSubstrate::kNested;
-  auto a = EvaluateQuery(universe, *query, columnar);
-  auto b = EvaluateQuery(universe, *query, nested);
+  EvalOptions capped;
+  capped.max_rows = 45;
+  auto a = EvaluateQuery(universe, *query, capped);
+  auto b = ReferenceQuery(universe, *query);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->rows.size(), 45u);
+  // The cap keeps the first 45 distinct rows in enumeration order.
+  b->rows.resize(45);
   EXPECT_EQ(a->ToTable(), b->ToTable());
 }
 
@@ -654,13 +651,13 @@ TEST(ColumnarRelationVariable, PaperHigherOrderQueries) {
            "?.ource.S(.date=D,.clsPrice=P), P > P / 0",
            "?.chwab.r(.date=D,.S=P), P > P / 0",
        }) {
-    ExpectSubstratesAgree(paper, text);
+    ExpectReferenceAgrees(paper, text);
   }
 
   Value stock = BuildStockUniverse(
       GenerateStockWorkload({.num_stocks = 10, .num_days = 30, .seed = 11}));
-  ExpectSubstratesAgree(stock, "?.ource.S(.date=D, .clsPrice=P), P > 100");
-  ExpectSubstratesAgree(
+  ExpectReferenceAgrees(stock, "?.ource.S(.date=D, .clsPrice=P), P > 100");
+  ExpectReferenceAgrees(
       stock, "?.euter.r(.stkCode=stk3, .date=D), .ource.S(.date=D)");
 
   // A guard dividing by a bound value over data that contains a zero, and
@@ -671,64 +668,72 @@ TEST(ColumnarRelationVariable, PaperHigherOrderQueries) {
     rel.Insert(Row({{"k", Value::Int(i)}, {"tag", Value::String("x")}}));
   }
   universe.SetField("d", Row({{"r", std::move(rel)}}));
-  ExpectSubstratesAgree(universe, "?.d.R(.k=K,.tag=T), K > 10 / K");
-  ExpectSubstratesAgree(universe, "?.d.R(.k=K,.tag=T), K > T + 1");
+  ExpectReferenceAgrees(universe, "?.d.R(.k=K,.tag=T), K > 10 / K");
+  ExpectReferenceAgrees(universe, "?.d.R(.k=K,.tag=T), K > T + 1");
 }
 
-// The paper's `ource` rule materializes on columnar pages under every
-// strategy and maintenance mode, with the nested substrate's answers and
-// write counters.
+// An answer's rows in canonical order: a maintained view may hold its
+// elements in a different order than a from-scratch materialization.
+std::vector<std::vector<Value>> SortedRows(Answer answer) {
+  std::sort(answer.rows.begin(), answer.rows.end(),
+            [](const std::vector<Value>& a, const std::vector<Value>& b) {
+              return std::lexicographical_compare(
+                  a.begin(), a.end(), b.begin(), b.end(),
+                  [](const Value& x, const Value& y) {
+                    return Value::Compare(x, y) < 0;
+                  });
+            });
+  return answer.rows;
+}
+
+// The paper's `ource` rule materializes on columnar pages, before and after
+// an incrementally maintained insert, with the reference's universe,
+// answers and derivation count.
 TEST(ColumnarRelationVariable, OurceRuleMaterializesOnPages) {
-  for (EvalStrategy strategy :
-       {EvalStrategy::kNaive, EvalStrategy::kSemiNaive}) {
-    for (MaintenanceMode maintenance :
-         {MaintenanceMode::kIncremental, MaintenanceMode::kRematerialize}) {
-      SCOPED_TRACE(testing::Message()
-                   << "strategy=" << static_cast<int>(strategy)
-                   << " maintenance=" << static_cast<int>(maintenance));
-      std::string tables[2];
-      uint64_t facts[2] = {0, 0};
-      uint64_t activations[2] = {0, 0};
-      const EvalSubstrate substrates[2] = {EvalSubstrate::kColumnar,
-                                           EvalSubstrate::kNested};
-      for (int i = 0; i < 2; ++i) {
-        MetricsRegistry::Global().Reset();
-        Session session;
-        EvalOptions materialize;
-        materialize.strategy = strategy;
-        materialize.maintenance = maintenance;
-        materialize.substrate = substrates[i];
-        materialize.materialize_parallelism = 1;
-        session.set_materialize_options(materialize);
-        PaperUniverse paper = MakePaperUniverse();
-        for (const auto& field : paper.universe.fields()) {
-          ASSERT_TRUE(session.RegisterDatabase(field.name, field.value).ok());
-        }
-        ASSERT_TRUE(session
-                        .DefineRule(".dbI.p(.date=D, .stk=S, .clsPrice=P) <- "
-                                    ".ource.S(.date=D, .clsPrice=P)")
-                        .ok());
-        EvalOptions request;
-        request.substrate = substrates[i];
-        const char* unified = "?.dbI.p(.date=D, .stk=S, .clsPrice=P)";
-        auto before = session.Query(unified, request);
-        ASSERT_TRUE(before.ok()) << before.status().ToString();
-        auto u = session.Update("?.ource.hp+(.date=3/5/1985, .clsPrice=321)",
-                                request);
-        ASSERT_TRUE(u.ok()) << u.status().ToString();
-        auto after = session.Query(unified, request);
-        ASSERT_TRUE(after.ok()) << after.status().ToString();
-        tables[i] = before->ToTable() + after->ToTable();
-        facts[i] = CounterValue("engine.facts_derived");
-        activations[i] = CounterValue("columnar.vector_activations");
-        EXPECT_EQ(CounterValue("columnar.nonflat_fallbacks"), 0u);
-      }
-      EXPECT_EQ(tables[0], tables[1]);
-      EXPECT_EQ(facts[0], facts[1]);
-      EXPECT_GT(activations[0], 0u);
-      EXPECT_EQ(activations[1], 0u);
+  MetricsRegistry::Global().Reset();
+  const char* rule =
+      ".dbI.p(.date=D, .stk=S, .clsPrice=P) <- .ource.S(.date=D, "
+      ".clsPrice=P)";
+  Session session;
+  EvalOptions materialize;
+  materialize.materialize_parallelism = 1;
+  session.set_materialize_options(materialize);
+  PaperUniverse paper = MakePaperUniverse();
+  for (const auto& field : paper.universe.fields()) {
+    ASSERT_TRUE(session.RegisterDatabase(field.name, field.value).ok());
+  }
+  ASSERT_TRUE(session.DefineRule(rule).ok());
+  auto rules = ParseRuleTexts({rule});
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  const char* unified = "?.dbI.p(.date=D, .stk=S, .clsPrice=P)";
+  auto query = ParseQuery(unified);
+  ASSERT_TRUE(query.ok());
+
+  for (const char* update :
+       {"", "?.ource.hp+(.date=3/5/1985, .clsPrice=321)"}) {
+    SCOPED_TRACE(update);
+    if (*update != '\0') {
+      auto u = session.Update(update);
+      ASSERT_TRUE(u.ok()) << u.status().ToString();
+    }
+    auto answer = session.Query(unified);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    auto m = ReferenceMaterialize(*rules, session.base_universe());
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    auto expected = ReferenceQuery(m->universe, *query);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    auto universe = session.universe();
+    ASSERT_TRUE(universe.ok()) << universe.status().ToString();
+    EXPECT_EQ(**universe, m->universe);
+    EXPECT_EQ(SortedRows(*answer), SortedRows(*expected));
+    // The first query materialized from scratch, exactly as the reference
+    // did: one derivation per ource row.
+    if (*update == '\0') {
+      EXPECT_EQ(CounterValue("engine.facts_derived"), m->facts_derived);
     }
   }
+  EXPECT_GT(CounterValue("columnar.vector_activations"), 0u);
+  EXPECT_EQ(CounterValue("columnar.nonflat_fallbacks"), 0u);
 }
 
 // The absorb key spans every constrained, constant-named head attribute,
@@ -753,7 +758,7 @@ TEST(ColumnarAbsorb, OneCandidatePerAbsorbAtAnyStockCount) {
         {.num_stocks = stocks, .num_days = 40, .seed = 42}));
     const uint64_t absorbs_before = absorbs->value();
     const uint64_t candidates_before = candidates->value();
-    EvalOptions options;  // substrate defaults to kColumnar
+    EvalOptions options;
     options.materialize_parallelism = 1;
     auto m = engine.Materialize(universe, options);
     ASSERT_TRUE(m.ok()) << m.status().ToString();

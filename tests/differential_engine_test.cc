@@ -1,12 +1,14 @@
-// Differential harness for the two fixpoint strategies (views/engine.h):
-// the naive engine is the oracle; semi-naive (serial and parallel) must
-// produce the same merged universe and the same derived paths on
+// Differential harness for the view engine (views/engine.h): the reference
+// evaluator's naive fixpoint (tests/reference/reference.h) is the oracle;
+// the library's semi-naive engine, serial and parallel, must produce the
+// same merged universe and the same derived paths on
 //   - every paper view program (plain, name mappings, discrepancies +
 //     reconciliation),
 //   - recursive programs (transitive closure over chains and random graphs),
 //   - ~50 seeded random stock universes across the workload knobs.
 // It also pins down the *reason* semi-naive is interesting: on recursive
-// workloads it records deltas and skips re-derivations.
+// workloads it records deltas and skips re-derivations the naive fixpoint
+// performs.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 
 #include "eval/query.h"
 #include "object/value_io.h"
+#include "reference/reference.h"
 #include "syntax/parser.h"
 #include "views/engine.h"
 #include "workload/paper_universe.h"
@@ -40,35 +43,39 @@ ViewEngine BuildEngine(const std::vector<std::string>& rule_texts) {
 }
 
 Materialized MaterializeWith(const ViewEngine& engine, const Value& universe,
-                             EvalStrategy strategy, size_t parallelism,
-                             EvalSubstrate substrate =
-                                 EvalSubstrate::kColumnar) {
+                             size_t parallelism) {
   EvalOptions options;
-  options.strategy = strategy;
   options.materialize_parallelism = parallelism;
-  options.substrate = substrate;
   auto m = engine.Materialize(universe, options);
   EXPECT_TRUE(m.ok()) << m.status().ToString();
   return std::move(m).value();
 }
 
-// The differential check: naive is the oracle; semi-naive serial and
-// semi-naive 4-way must agree with it on the universe and the derived
+ReferenceMaterialization MaterializeReference(const ViewEngine& engine,
+                                              const Value& universe) {
+  auto m = ReferenceMaterialize(engine.rules(), universe);
+  EXPECT_TRUE(m.ok()) << m.status().ToString();
+  return std::move(m).value();
+}
+
+// The differential check: the reference is the oracle; semi-naive serial
+// and semi-naive 4-way must agree with it on the universe and the derived
 // relations. facts_derived is intentionally *not* compared — skipping
 // re-derivations is the whole point of the delta strategy.
 void ExpectStrategiesAgree(const ViewEngine& engine, const Value& universe,
                            const std::string& context) {
-  Materialized naive =
-      MaterializeWith(engine, universe, EvalStrategy::kNaive, 1);
-  Materialized serial =
-      MaterializeWith(engine, universe, EvalStrategy::kSemiNaive, 1);
-  Materialized parallel =
-      MaterializeWith(engine, universe, EvalStrategy::kSemiNaive, 4);
+  ReferenceMaterialization reference = MaterializeReference(engine, universe);
+  Materialized serial = MaterializeWith(engine, universe, 1);
+  Materialized parallel = MaterializeWith(engine, universe, 4);
 
-  EXPECT_EQ(naive.universe, serial.universe)
-      << context << ": naive vs semi-naive universes differ";
-  EXPECT_EQ(naive.derived_paths, serial.derived_paths)
-      << context << ": naive vs semi-naive derived paths differ";
+  EXPECT_EQ(reference.universe, serial.universe)
+      << context << ": reference vs semi-naive universes differ";
+  EXPECT_EQ(reference.derived_paths, serial.derived_paths)
+      << context << ": reference vs semi-naive derived paths differ";
+  // The batch absorber claims to absorb into exactly the element the
+  // reference's scan picks, so not just the universe but the number of
+  // universe-changing writes must match.
+  EXPECT_EQ(reference.changes, serial.changes) << context;
   EXPECT_EQ(serial.universe, parallel.universe)
       << context << ": serial vs parallel semi-naive universes differ";
   EXPECT_EQ(serial.derived_paths, parallel.derived_paths)
@@ -78,20 +85,6 @@ void ExpectStrategiesAgree(const ViewEngine& engine, const Value& universe,
   EXPECT_EQ(serial.changes, parallel.changes) << context;
   EXPECT_EQ(serial.facts_derived, parallel.facts_derived) << context;
   EXPECT_EQ(serial.delta_size, parallel.delta_size) << context;
-
-  // The tuple-at-a-time substrate is the oracle for the columnar kernels
-  // (vectorized enumeration and the batch absorber): not just the universe
-  // but every write-phase counter must be identical, because the batch path
-  // claims to absorb into exactly the element the scan would pick.
-  Materialized nested = MaterializeWith(
-      engine, universe, EvalStrategy::kSemiNaive, 1, EvalSubstrate::kNested);
-  EXPECT_EQ(serial.universe, nested.universe)
-      << context << ": columnar vs nested substrate universes differ";
-  EXPECT_EQ(serial.derived_paths, nested.derived_paths)
-      << context << ": columnar vs nested derived paths differ";
-  EXPECT_EQ(serial.changes, nested.changes) << context;
-  EXPECT_EQ(serial.facts_derived, nested.facts_derived) << context;
-  EXPECT_EQ(serial.delta_size, nested.delta_size) << context;
 }
 
 TEST(DifferentialEngine, PaperViewProgram) {
@@ -137,7 +130,7 @@ TEST(DifferentialEngine, DiscrepancyAndReconciliation) {
 // key field absent, null, a Real where the fact carries an Int, a tuple,
 // a null element, rows with attributes the rules never write — and feeds it
 // facts that include §6's discrepancy (one date and stock, two prices). The
-// columnar absorber must pick exactly the element the nested scan picks.
+// batch absorber must pick exactly the element the reference's scan picks.
 TEST(DifferentialEngine, CompositeAbsorbKeyEdgeRows) {
   const std::vector<std::string> head_rows = {
       "(date: 1, stk: a)",                       // key field absent
@@ -217,8 +210,7 @@ TEST(DifferentialEngine, TransitiveClosureChain) {
     ExpectStrategiesAgree(engine, universe,
                           "tc chain length " + std::to_string(length));
     // Sanity: the closure really is the full triangle.
-    Materialized m =
-        MaterializeWith(engine, universe, EvalStrategy::kSemiNaive, 1);
+    Materialized m = MaterializeWith(engine, universe, 1);
     auto q = ParseQuery("?.d.tc(.from=X, .to=Y)");
     ASSERT_TRUE(q.ok());
     auto a = EvaluateQuery(m.universe, *q);
@@ -282,16 +274,14 @@ TEST(DifferentialEngine, RandomStockUniverses) {
 }
 
 // The delta machinery is actually engaged: on a recursive workload the
-// semi-naive engine records pass deltas and skips re-derivations the naive
-// engine performs, and the per-stratum stats expose it.
+// semi-naive engine records pass deltas and skips re-derivations the
+// reference's naive fixpoint performs, and the per-stratum stats expose it.
 TEST(DifferentialEngine, SemiNaiveSkipsReDerivations) {
   ViewEngine engine = BuildEngine(TcRules());
   Value universe = ChainUniverse(16);
 
-  Materialized naive =
-      MaterializeWith(engine, universe, EvalStrategy::kNaive, 1);
-  Materialized semi =
-      MaterializeWith(engine, universe, EvalStrategy::kSemiNaive, 1);
+  ReferenceMaterialization naive = MaterializeReference(engine, universe);
+  Materialized semi = MaterializeWith(engine, universe, 1);
 
   EXPECT_EQ(naive.universe, semi.universe);
   EXPECT_GT(semi.delta_size, 0u);
@@ -320,11 +310,9 @@ TEST(DifferentialEngine, ParallelismWidthInvariance) {
   Value universe = BuildStockUniverse(w);
   ViewEngine engine = BuildEngine(PaperViewRules());
 
-  Materialized reference =
-      MaterializeWith(engine, universe, EvalStrategy::kSemiNaive, 1);
+  Materialized reference = MaterializeWith(engine, universe, 1);
   for (size_t parallelism : {0, 2, 3, 8}) {
-    Materialized m = MaterializeWith(engine, universe,
-                                     EvalStrategy::kSemiNaive, parallelism);
+    Materialized m = MaterializeWith(engine, universe, parallelism);
     EXPECT_EQ(reference.universe, m.universe) << "width " << parallelism;
     EXPECT_EQ(reference.derived_paths, m.derived_paths)
         << "width " << parallelism;

@@ -34,6 +34,7 @@
 
 #include "common/str_util.h"
 #include "idl/idl.h"
+#include "reference/reference.h"
 
 namespace idl {
 namespace {
@@ -122,14 +123,27 @@ Status ApplyToSession(Session* session, const Op& op) {
 }
 
 // The shadow: merged-universe snapshots after each op prefix.
-// shadow[k] = state with ops[0..k) applied.
+// shadow[k] = state with ops[0..k) applied. Each snapshot must also equal
+// the reference evaluator's materialization of the shadow's base.
 std::vector<std::string> ShadowPrefixes(const Trace& trace) {
   Session session;
   std::vector<std::string> shadows;
   auto snapshot = [&]() {
     auto u = session.SnapshotUniverse();
     EXPECT_TRUE(u.ok()) << u.status().ToString();
-    return u.ok() ? ToString(*u) : std::string();
+    if (!u.ok()) return std::string();
+    auto rules = ParseRuleTexts(session.rule_texts());
+    EXPECT_TRUE(rules.ok()) << rules.status().ToString();
+    if (rules.ok()) {
+      auto reference = ReferenceMaterialize(*rules, session.base_universe());
+      EXPECT_TRUE(reference.ok()) << reference.status().ToString();
+      if (reference.ok()) {
+        EXPECT_EQ(*u, reference->universe)
+            << "shadow diverges from the reference after "
+            << shadows.size() << " ops";
+      }
+    }
+    return ToString(*u);
   };
   shadows.push_back(snapshot());
   for (const Op& op : trace.ops) {

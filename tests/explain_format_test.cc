@@ -18,8 +18,8 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "eval/explain.h"
-#include "server/trace_sweep.h"
-#include "workload/sweep.h"
+#include "reference/sweep.h"
+#include "reference/trace_sweep.h"
 
 namespace idl {
 namespace {
@@ -229,7 +229,7 @@ TEST(ExplainFormatTest, TraceRenderings) {
 }
 
 TEST(ExplainFormatTest, SweepReportLine) {
-  // The differential-sweep summary (src/workload/sweep.h): one line, every
+  // The differential-sweep summary (tests/reference/sweep.h): one line, every
   // counter named. bench_workload and the sweep tests print it, and
   // docs/WORKLOADS.md quotes it.
   SweepReport report;
@@ -240,17 +240,17 @@ TEST(ExplainFormatTest, SweepReportLine) {
   report.traces = 10;
   report.steps = 80;
   report.requests = 212;
-  report.modes = 24;
+  report.modes = 17;
   report.comparisons = 12345;
   report.fallbacks = 1;
-  report.mismatches.push_back("semi/inc/direct/plain diverges");
+  report.mismatches.push_back("serial/inc/direct/plain diverges");
   EXPECT_EQ(FormatSweepReport(report),
-            "sweep: universes=50 traces=10 steps=80 requests=212 modes=24 "
+            "sweep: universes=50 traces=10 steps=80 requests=212 modes=17 "
             "comparisons=12345 fallbacks=1 mismatches=1\n");
 }
 
 TEST(ExplainFormatTest, ServerSweepReportLine) {
-  // The server trace-sweep summary (src/server/trace_sweep.h): one line,
+  // The server trace-sweep summary (tests/reference/trace_sweep.h): one line,
   // every counter named. The server differential tests print it and
   // docs/SERVER.md quotes it.
   ServerSweepReport report;
@@ -274,18 +274,20 @@ TEST(ExplainFormatTest, ModePointLabels) {
   // Mode labels appear in mismatch reports and shrunk repro scripts; the
   // lattice order (reference first) is part of the sweep's contract.
   std::vector<ModePoint> lattice = FullModeLattice();
-  ASSERT_EQ(lattice.size(), 24u);
-  EXPECT_EQ(lattice[0].Label(), "naive/remat/direct/plain");
-  EXPECT_EQ(lattice[1].Label(), "naive/remat/direct/gov");
-  EXPECT_EQ(lattice[2].Label(), "naive/remat/fed+faults/plain");
-  EXPECT_EQ(lattice[23].Label(), "semi-par/inc/fed+faults/gov");
+  ASSERT_EQ(lattice.size(), 17u);
+  EXPECT_EQ(lattice[0].Label(), "reference");
+  EXPECT_EQ(lattice[1].Label(), "serial/inc/direct/plain");
+  EXPECT_EQ(lattice[2].Label(), "serial/inc/direct/gov");
+  EXPECT_EQ(lattice[3].Label(), "serial/inc/fed+faults/plain");
+  EXPECT_EQ(lattice[5].Label(), "serial/rebuilt/direct/plain");
+  EXPECT_EQ(lattice[16].Label(), "parallel/rebuilt/fed+faults/gov");
   std::set<std::string> labels;
   for (const ModePoint& mode : lattice) labels.insert(mode.Label());
-  EXPECT_EQ(labels.size(), 24u) << "mode labels collide";
+  EXPECT_EQ(labels.size(), 17u) << "mode labels collide";
 
   ModePoint fed_no_faults;
   fed_no_faults.federated = true;
-  EXPECT_EQ(fed_no_faults.Label(), "semi/inc/fed/plain");
+  EXPECT_EQ(fed_no_faults.Label(), "serial/inc/fed/plain");
 }
 
 TEST(ExplainFormatTest, MetricsListing) {

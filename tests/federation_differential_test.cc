@@ -8,7 +8,8 @@
 //
 // A second suite differentials the ship path specifically on randomly
 // generated stock universes: queries whose subgoals are shipped as
-// restricted selections must agree with direct evaluation.
+// restricted selections must agree with direct evaluation and with the
+// reference evaluator (tests/reference/reference.h).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 
 #include "common/str_util.h"
 #include "idl/idl.h"
+#include "reference/reference.h"
 
 namespace idl {
 namespace {
@@ -213,6 +215,11 @@ TEST(FederationDifferential, ShippedQueriesMatchOnGeneratedUniverses) {
       ASSERT_TRUE(a.ok()) << a.status().ToString();
       ASSERT_TRUE(b.ok()) << b.status().ToString();
       EXPECT_EQ(a->ToTable(), b->ToTable());
+      auto query = ParseQuery(q);
+      ASSERT_TRUE(query.ok()) << query.status().ToString();
+      auto expected = ReferenceQuery(direct.base_universe(), *query);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      EXPECT_EQ(a->ToTable(), expected->ToTable());
     }
   }
 }

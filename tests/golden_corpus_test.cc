@@ -1,10 +1,14 @@
 // Golden-corpus harness: runs every script in examples/scripts/ through a
 // fresh Session (the same preloaded paper universe and output format as
 // examples/idl_shell.cc) and compares the transcript against the checked-in
-// golden in tests/golden/. Each script also runs under the naive oracle
-// strategy and must produce the identical transcript — the corpus doubles as
-// an end-to-end differential test through the full parse/session/update
-// stack.
+// golden in tests/golden/. The run also checks the session against the
+// reference evaluator (tests/reference/reference.h) after every statement:
+// the merged universe must equal the reference's from-scratch
+// materialization of the session's base, every pure query's table must
+// equal the reference's answer, and a statement the library rejects must be
+// rejected by the reference with the same status text — so the corpus
+// doubles as an end-to-end differential test through the full
+// parse/session/update stack.
 //
 // Regenerate goldens after an intended behaviour change with:
 //   IDL_UPDATE_GOLDENS=1 build/tests/golden_corpus_test
@@ -18,12 +22,8 @@
 //                                 transcript of an intentionally divergent
 //                                 script (governor abort messages carry only
 //                                 configured limits, never live counters, so
-//                                 both strategies produce identical text)
-//   % maintenance: rematerialize — run the script with incremental view
-//                                 maintenance disabled (the default is
-//                                 incremental; every script additionally
-//                                 runs under the opposite mode and the two
-//                                 transcripts must match)
+//                                 the library and the reference produce
+//                                 identical text)
 //   % trace: text               — additionally run the script with tracing
 //                                 on (serially, for a machine-independent
 //                                 span tree): the answers must stay
@@ -56,6 +56,9 @@
 //                                 mid-script kill + recovery whose replay
 //                                 report the transcript pins
 //                                 (docs/DURABILITY.md)
+// A `% server-sessions:` or `% wal:` script's golden is the server's
+// transcript; its statements still run once on a plain session for the
+// reference checks.
 
 #include <gtest/gtest.h>
 
@@ -69,6 +72,7 @@
 
 #include "common/str_util.h"
 #include "idl/idl.h"
+#include "reference/reference.h"
 
 namespace idl {
 namespace {
@@ -83,32 +87,88 @@ std::string ReadFile(const fs::path& path) {
   return buffer.str();
 }
 
+// The reference evaluator's materialization of the session's base, under
+// the session's materialization budgets.
+Result<ReferenceMaterialization> MaterializeReference(const Session& session) {
+  IDL_ASSIGN_OR_RETURN(std::vector<Rule> rules,
+                       ParseRuleTexts(session.rule_texts()));
+  ResourceGovernor governor(GovernorLimitsFrom(session.materialize_options()));
+  return ReferenceMaterialize(rules, session.base_universe(), &governor);
+}
+
+// The session's merged universe must equal the reference's, or both must
+// fail with the same status text.
+void ExpectUniverseMatchesReference(Session& session) {
+  Result<ReferenceMaterialization> expected = MaterializeReference(session);
+  Result<const Value*> actual = session.universe();
+  ASSERT_EQ(actual.ok(), expected.ok())
+      << "library: " << actual.status().ToString()
+      << "\nreference: " << expected.status().ToString();
+  if (!actual.ok()) {
+    EXPECT_EQ(actual.status().ToString(), expected.status().ToString());
+    return;
+  }
+  EXPECT_EQ(**actual, expected->universe)
+      << "merged universe diverges from the reference";
+}
+
+// A pure query's outcome must equal the reference's answer over its own
+// materialization: the same table, or the same rejection.
+void ExpectAnswerMatchesReference(const Session& session, const Query& query,
+                                  const Result<Answer>& actual) {
+  Result<ReferenceMaterialization> m = MaterializeReference(session);
+  Result<Answer> expected =
+      m.ok() ? ReferenceQuery(m->universe, query) : Result<Answer>(m.status());
+  ASSERT_EQ(actual.ok(), expected.ok())
+      << "library: " << actual.status().ToString()
+      << "\nreference: " << expected.status().ToString();
+  if (!actual.ok()) {
+    EXPECT_EQ(actual.status().ToString(), expected.status().ToString());
+    return;
+  }
+  EXPECT_EQ(actual->ToTable(), expected->ToTable())
+      << "answer diverges from the reference";
+}
+
 // Mirrors examples/idl_shell.cc's Run(), writing the transcript to a string.
 // Errors are recorded in the transcript (so a golden can pin down an
-// intended error message) and stop the script, exactly like the shell.
-std::string RunStatements(Session& session, const std::string& script) {
+// intended error message) and stop the script, exactly like the shell. With
+// `check_reference`, every statement is also checked against the reference
+// evaluator.
+std::string RunStatements(Session& session, const std::string& script,
+                          bool check_reference) {
   std::string out;
   auto statements = ParseStatements(script);
   if (!statements.ok()) {
     return StrCat("parse error: ", statements.status().ToString(), "\n");
   }
   for (const auto& statement : *statements) {
+    std::string text;
+    bool stop = false;
     switch (statement.kind) {
       case Statement::Kind::kQuery: {
-        std::string text = ToString(statement.query);
+        text = ToString(statement.query);
         out += text;
         out += "\n";
         if (session.IsUpdateRequest(statement.query)) {
           auto r = session.Update(text);
           if (!r.ok()) {
-            return StrCat(out, "  error: ", r.status().ToString(), "\n");
+            out += StrCat("  error: ", r.status().ToString(), "\n");
+            stop = true;
+            break;
           }
           out += StrCat("  ok: ", r->counts.Total(), " change(s), ",
                         r->bindings, " binding(s)\n\n");
         } else {
           auto a = session.Query(text);
+          if (check_reference) {
+            SCOPED_TRACE(text);
+            ExpectAnswerMatchesReference(session, statement.query, a);
+          }
           if (!a.ok()) {
-            return StrCat(out, "  error: ", a.status().ToString(), "\n");
+            out += StrCat("  error: ", a.status().ToString(), "\n");
+            stop = true;
+            break;
           }
           out += a->ToTable();
           out += "\n";
@@ -116,22 +176,27 @@ std::string RunStatements(Session& session, const std::string& script) {
         break;
       }
       case Statement::Kind::kRule: {
-        std::string text = ToString(statement.rule);
+        text = ToString(statement.rule);
         auto st = session.DefineRule(text);
         out += StrCat("rule    ", text, "  [",
                       st.ok() ? "ok" : st.ToString(), "]\n");
-        if (!st.ok()) return out;
+        stop = !st.ok();
         break;
       }
       case Statement::Kind::kProgramClause: {
-        std::string text = ToString(statement.clause);
+        text = ToString(statement.clause);
         auto st = session.DefineProgram(text);
         out += StrCat("program ", text, "  [",
                       st.ok() ? "ok" : st.ToString(), "]\n");
-        if (!st.ok()) return out;
+        stop = !st.ok();
         break;
       }
     }
+    if (check_reference) {
+      SCOPED_TRACE(StrCat("after ", text));
+      ExpectUniverseMatchesReference(session);
+    }
+    if (stop) return out;
   }
   return out;
 }
@@ -150,10 +215,11 @@ std::string WorkloadSpecOf(const std::string& script) {
 // Runs `script` against a fresh paper-universe session — or, for a
 // `% workload:` script, against its generated discrepancy universe with the
 // unification rules pre-defined, prefixing the transcript with the same
-// preamble idl_shell prints. With `trace`, the run records a span trace and
-// the transcript ends with the three masked observability sections, exactly
-// as examples/idl_shell.cc renders a `% trace: text` script — the demo
-// golden pins that format.
+// preamble idl_shell prints. Without `trace`, every statement is checked
+// against the reference evaluator. With `trace`, the run records a span
+// trace and the transcript ends with the three masked observability
+// sections, exactly as examples/idl_shell.cc renders a `% trace: text`
+// script — the demo golden pins that format.
 std::string RunScript(const std::string& script, bool name_mappings,
                       const EvalOptions& materialize_options,
                       bool trace = false) {
@@ -188,7 +254,8 @@ std::string RunScript(const std::string& script, bool name_mappings,
     MetricsRegistry::Global().Reset();
     Trace::Enable();
   }
-  std::string out = preamble + RunStatements(session, script);
+  std::string out =
+      preamble + RunStatements(session, script, /*check_reference=*/!trace);
   if (trace) {
     Trace::Disable();
     out += StrCat("-- trace --\n", Trace::Render(/*mask_timings=*/true));
@@ -319,56 +386,24 @@ TEST(GoldenCorpus, ScriptsMatchGoldens) {
     const size_t server_sessions = *sessions;
     const bool wal = script.find("% wal:") != std::string::npos;
 
-    EvalOptions semi;  // defaults: kSemiNaive, auto parallelism, incremental
-    semi.max_passes = *max_passes;
-    if (script.find("% maintenance: rematerialize") != std::string::npos) {
-      semi.maintenance = MaintenanceMode::kRematerialize;
+    // Every script runs once in memory with the reference checks; a durable
+    // or server script's golden is then the server's transcript.
+    EvalOptions options;
+    options.max_passes = *max_passes;
+    std::string transcript = RunScript(script, name_mappings, options);
+    if (wal) {
+      transcript = RunScriptViaWal(script, name_mappings, options);
+    } else if (server_sessions > 0) {
+      transcript =
+          RunScriptViaServer(script, name_mappings, options, server_sessions);
     }
-    auto run = [&](const EvalOptions& options) {
-      if (wal) return RunScriptViaWal(script, name_mappings, options);
-      if (server_sessions > 0) {
-        return RunScriptViaServer(script, name_mappings, options,
-                                  server_sessions);
-      }
-      return RunScript(script, name_mappings, options);
-    };
-    std::string transcript = run(semi);
-
-    EvalOptions naive;
-    naive.strategy = EvalStrategy::kNaive;
-    naive.max_passes = *max_passes;
-    std::string oracle = run(naive);
-    EXPECT_EQ(transcript, oracle)
-        << "semi-naive and naive transcripts diverge";
-
-    // Every script also runs under the opposite maintenance mode: the
-    // corpus's update-then-query scripts thereby differentially test
-    // incremental maintenance through the full parse/session/update stack.
-    // For a `% wal:` crash script this additionally re-proves that recovery
-    // (which rematerializes from rule texts) lands on the same answers
-    // under every maintenance regime.
-    EvalOptions flipped = semi;
-    flipped.maintenance = semi.maintenance == MaintenanceMode::kIncremental
-                              ? MaintenanceMode::kRematerialize
-                              : MaintenanceMode::kIncremental;
-    std::string other = run(flipped);
-    EXPECT_EQ(transcript, other)
-        << "incremental and rematerialize transcripts diverge";
-
-    // And under the tuple-at-a-time substrate: the columnar kernels
-    // (relational/columnar.h, eval/vector_exec.h, the engine's batch
-    // absorber) must be transcript-invisible on the whole corpus.
-    EvalOptions nested = semi;
-    nested.substrate = EvalSubstrate::kNested;
-    std::string tuple_at_a_time = run(nested);
-    EXPECT_EQ(transcript, tuple_at_a_time)
-        << "columnar and nested substrate transcripts diverge";
 
     // A server script additionally runs single-session: concurrency must not
     // change any answer, so only the session count in the header/trailer
     // lines may differ.
     if (server_sessions > 1) {
-      std::string serial = RunScriptViaServer(script, name_mappings, semi, 1);
+      std::string serial =
+          RunScriptViaServer(script, name_mappings, options, 1);
       const std::string one = "server sessions=1";
       const std::string many = StrCat("server sessions=", server_sessions);
       for (size_t at = serial.find(one); at != std::string::npos;
@@ -384,7 +419,7 @@ TEST(GoldenCorpus, ScriptsMatchGoldens) {
     // answers; the masked observability sections are appended and become
     // part of the golden.
     if (script.find("% trace: text") != std::string::npos) {
-      EvalOptions serial = semi;
+      EvalOptions serial = options;
       serial.materialize_parallelism = 1;
       std::string traced =
           RunScript(script, name_mappings, serial, /*trace=*/true);

@@ -4,7 +4,7 @@
 //  * a deterministic injection sweep that cancels the maintenance pass at
 //    the Nth governor checkpoint for growing N — after every abort the base
 //    universe is untouched and the next request recovers by falling back to
-//    a full rematerialization that agrees with the oracle;
+//    a full rematerialization that agrees with the reference evaluator;
 //  * concurrent cancellation from a second thread while ApplyDelta runs on
 //    pool workers (the `stress` ctest label; the TSan CI leg re-runs it).
 
@@ -20,6 +20,7 @@
 #include "idl/session.h"
 #include "object/builder.h"
 #include "object/value.h"
+#include "reference/reference.h"
 
 namespace idl {
 namespace {
@@ -48,10 +49,15 @@ const std::vector<std::string>& ReachRules() {
   return kRules;
 }
 
-EvalOptions RematerializeOptions() {
-  EvalOptions options;
-  options.maintenance = MaintenanceMode::kRematerialize;
-  return options;
+// The reference evaluator's materialization of `session`'s base under
+// ReachRules(): the oracle every recovery must converge to.
+Value ReferenceUniverse(const Session& session) {
+  auto rules = ParseRuleTexts(ReachRules());
+  EXPECT_TRUE(rules.ok()) << rules.status().ToString();
+  if (!rules.ok()) return Value();
+  auto m = ReferenceMaterialize(*rules, session.base_universe());
+  EXPECT_TRUE(m.ok()) << m.status().ToString();
+  return m.ok() ? std::move(m->universe) : Value();
 }
 
 // The round-robin trace both layers drive: inserts extend one chain,
@@ -70,12 +76,8 @@ std::string TraceRequest(int round) {
 // the injection lands inside ApplyDelta itself.
 TEST(IncrementalStress, InjectionSweepRecoversAndAgreesWithOracle) {
   Session inc;
-  Session oracle;
   ASSERT_TRUE(inc.RegisterDatabase("succ", ChainDatabase(4, 12)).ok());
-  ASSERT_TRUE(oracle.RegisterDatabase("succ", ChainDatabase(4, 12)).ok());
   ASSERT_TRUE(inc.DefineRules(ReachRules()).ok());
-  ASSERT_TRUE(oracle.DefineRules(ReachRules()).ok());
-  oracle.set_materialize_options(RematerializeOptions());
 
   uint64_t cancelled_runs = 0;
   bool completed = false;
@@ -88,7 +90,6 @@ TEST(IncrementalStress, InjectionSweepRecoversAndAgreesWithOracle) {
     const std::string request = TraceRequest(round++);
     auto applied = inc.Update(request);
     ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-    ASSERT_TRUE(oracle.Update(request).ok());
     const uint64_t base_hash = inc.base_universe().Hash();
 
     EvalOptions options;
@@ -104,33 +105,27 @@ TEST(IncrementalStress, InjectionSweepRecoversAndAgreesWithOracle) {
     ASSERT_EQ(inc.base_universe().Hash(), base_hash)
         << "base universe mutated by maintenance cancelled at checkpoint "
         << k;
-    // Recovery: an ungoverned request rebuilds and matches the oracle.
+    // Recovery: an ungoverned request rebuilds and matches the reference.
     auto ui = inc.universe();
-    auto uo = oracle.universe();
     ASSERT_TRUE(ui.ok()) << ui.status().ToString();
-    ASSERT_TRUE(uo.ok()) << uo.status().ToString();
-    ASSERT_EQ(**ui, **uo) << "recovery diverged after checkpoint " << k;
+    ASSERT_EQ(**ui, ReferenceUniverse(inc))
+        << "recovery diverged after checkpoint " << k;
   }
   ASSERT_TRUE(completed) << "sweep never out-ran the request's checkpoints";
   EXPECT_GT(cancelled_runs, 5u);  // the sweep actually injected
   auto ui = inc.universe();
-  auto uo = oracle.universe();
-  ASSERT_TRUE(ui.ok() && uo.ok());
-  EXPECT_EQ(**ui, **uo);
+  ASSERT_TRUE(ui.ok()) << ui.status().ToString();
+  EXPECT_EQ(**ui, ReferenceUniverse(inc));
 }
 
 // Concurrent cancellation: a second thread flips the session's cancel token
 // at staggered offsets while universe() runs an ApplyDelta pass on pool
 // workers. Whatever the race's outcome, a reset handle plus one more
-// request must converge to the oracle.
+// request must converge to the reference.
 TEST(IncrementalStress, ConcurrentCancelDuringApplyDelta) {
   Session inc;
-  Session oracle;
   ASSERT_TRUE(inc.RegisterDatabase("succ", ChainDatabase(8, 20)).ok());
-  ASSERT_TRUE(oracle.RegisterDatabase("succ", ChainDatabase(8, 20)).ok());
   ASSERT_TRUE(inc.DefineRules(ReachRules()).ok());
-  ASSERT_TRUE(oracle.DefineRules(ReachRules()).ok());
-  oracle.set_materialize_options(RematerializeOptions());
   CancelHandle handle = inc.cancel_handle();
   ASSERT_TRUE(inc.universe().ok());
 
@@ -139,7 +134,6 @@ TEST(IncrementalStress, ConcurrentCancelDuringApplyDelta) {
     const std::string request = TraceRequest(round);
     auto applied = inc.Update(request);
     ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-    ASSERT_TRUE(oracle.Update(request).ok());
 
     std::thread canceller([&handle, round] {
       std::this_thread::sleep_for(std::chrono::microseconds(100 * round));
@@ -154,10 +148,9 @@ TEST(IncrementalStress, ConcurrentCancelDuringApplyDelta) {
 
     handle.Reset();
     auto ui = inc.universe();
-    auto uo = oracle.universe();
     ASSERT_TRUE(ui.ok()) << ui.status().ToString();
-    ASSERT_TRUE(uo.ok()) << uo.status().ToString();
-    ASSERT_EQ(**ui, **uo) << "round " << round << " diverged after cancel";
+    ASSERT_EQ(**ui, ReferenceUniverse(inc))
+        << "round " << round << " diverged after cancel";
   }
 }
 

@@ -183,11 +183,8 @@ ViewEngine PaperEngine() {
   return engine;
 }
 
-Materialized MustMaterialize(const ViewEngine& engine, const Value& universe,
-                             EvalStrategy strategy) {
-  EvalOptions options;
-  options.strategy = strategy;
-  auto m = engine.Materialize(universe, options);
+Materialized MustMaterialize(const ViewEngine& engine, const Value& universe) {
+  auto m = engine.Materialize(universe);
   EXPECT_TRUE(m.ok()) << m.status().ToString();
   return std::move(m).value();
 }
@@ -222,18 +219,15 @@ const Value* FindRelation(const Value& universe, const std::string& path) {
 }
 
 // Materialization is idempotent: re-running the rules over an already
-// materialized universe changes nothing, under either strategy.
+// materialized universe changes nothing.
 TEST_P(WorkloadProperty, MaterializationIdempotent) {
   StockWorkload w = Workload();
   Value universe = BuildStockUniverse(w);
   ViewEngine engine = PaperEngine();
-  for (EvalStrategy strategy :
-       {EvalStrategy::kNaive, EvalStrategy::kSemiNaive}) {
-    Materialized once = MustMaterialize(engine, universe, strategy);
-    Materialized twice = MustMaterialize(engine, once.universe, strategy);
-    EXPECT_EQ(twice.changes, 0u);
-    EXPECT_EQ(once.universe, twice.universe);
-  }
+  Materialized once = MustMaterialize(engine, universe);
+  Materialized twice = MustMaterialize(engine, once.universe);
+  EXPECT_EQ(twice.changes, 0u);
+  EXPECT_EQ(once.universe, twice.universe);
 }
 
 // Adding a base fact never removes a derived fact (monotonicity of the
@@ -245,8 +239,7 @@ TEST_P(WorkloadProperty, AddingBaseFactIsMonotone) {
   StockWorkload w = Workload();
   Value universe = BuildStockUniverse(w);
   ViewEngine engine = PaperEngine();
-  Materialized before =
-      MustMaterialize(engine, universe, EvalStrategy::kSemiNaive);
+  Materialized before = MustMaterialize(engine, universe);
 
   auto insert_quote = [&](Value base, const Date& date, double price) {
     Value row = Value::EmptyTuple();
@@ -262,19 +255,16 @@ TEST_P(WorkloadProperty, AddingBaseFactIsMonotone) {
   grown.push_back(insert_quote(universe, w.dates[0], -1.0));  // discrepancy
 
   for (const Value& base : grown) {
-    for (EvalStrategy strategy :
-         {EvalStrategy::kNaive, EvalStrategy::kSemiNaive}) {
-      Materialized after = MustMaterialize(engine, base, strategy);
-      for (const auto& path : before.derived_paths) {
-        const Value* old_rel = FindRelation(before.universe, path);
-        const Value* new_rel = FindRelation(after.universe, path);
-        ASSERT_NE(old_rel, nullptr) << path;
-        ASSERT_NE(new_rel, nullptr) << path;
-        if (!old_rel->is_set() || !new_rel->is_set()) continue;
-        for (const auto& elem : old_rel->elements()) {
-          EXPECT_TRUE(Subsumed(elem, *new_rel))
-              << path << " lost " << ToString(elem);
-        }
+    Materialized after = MustMaterialize(engine, base);
+    for (const auto& path : before.derived_paths) {
+      const Value* old_rel = FindRelation(before.universe, path);
+      const Value* new_rel = FindRelation(after.universe, path);
+      ASSERT_NE(old_rel, nullptr) << path;
+      ASSERT_NE(new_rel, nullptr) << path;
+      if (!old_rel->is_set() || !new_rel->is_set()) continue;
+      for (const auto& elem : old_rel->elements()) {
+        EXPECT_TRUE(Subsumed(elem, *new_rel))
+            << path << " lost " << ToString(elem);
       }
     }
   }

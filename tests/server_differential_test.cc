@@ -14,8 +14,9 @@
 //
 //  2. Generated workloads: >= 20 discrepancy universes replay their
 //     PR 6 schema-evolution traces through the commit queue
-//     (src/server/trace_sweep.h): every published epoch is compared
-//     Value-identical against a shadow serial Session, and concurrent
+//     (tests/reference/trace_sweep.h): every published epoch is compared
+//     Value-identical against a shadow serial Session and the reference
+//     evaluator's materialization of its base, and concurrent
 //     readers assert oracle agreement at every step boundary. Zero
 //     mismatches required.
 
@@ -31,6 +32,7 @@
 
 #include "common/str_util.h"
 #include "idl/idl.h"
+#include "reference/trace_sweep.h"
 
 namespace idl {
 namespace {

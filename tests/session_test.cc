@@ -9,6 +9,7 @@
 
 #include <algorithm>
 
+#include "common/metrics.h"
 #include "relational/adapter.h"
 #include "workload/paper_universe.h"
 #include "workload/stock_gen.h"
@@ -189,6 +190,21 @@ TEST_F(SessionTest, StatsAccumulate) {
   EXPECT_GT(session.stats().set_elements_scanned, 0u);
   session.ResetStats();
   EXPECT_EQ(session.stats().set_elements_scanned, 0u);
+}
+
+// A direct query rolls its own counters into the process metrics (eval.*),
+// as a server reader's query does.
+TEST_F(SessionTest, QueryReachesEvalMetrics) {
+  Session session;
+  SetUpStockSession(&session);
+  ASSERT_TRUE(session.universe().ok());  // materialization counts apart
+  session.ResetStats();
+  Counter* scanned =
+      MetricsRegistry::Global().counter("eval.set_elements_scanned");
+  const uint64_t before = scanned->value();
+  ASSERT_TRUE(session.Query("?.euter.r(.clsPrice>0, .stkCode=S)").ok());
+  EXPECT_GT(session.stats().set_elements_scanned, 0u);
+  EXPECT_EQ(scanned->value() - before, session.stats().set_elements_scanned);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// The cross-mode differential sweep (src/workload/sweep.h) as a tier-1
+// The cross-mode differential sweep (tests/reference/sweep.h) as a tier-1
 // gate: generated multi-tenant discrepancy universes and schema-evolution
-// traces must produce byte-identical unified answers across the full
-// strategy x maintenance x federation x governor lattice (24 modes), agree
-// with the generator's oracle at every step boundary, and never regress
-// the incremental-maintenance fast paths into fallbacks. The deliberate
-// mismatch test proves the detect -> shrink -> repro-artifact pipeline
-// actually fires when something diverges.
+// traces must produce byte-identical universes across the reference
+// evaluator and the library's parallelism x maintenance x federation x
+// governor lattice (17 modes), agree with the generator's oracle at every
+// step boundary, and never regress the incremental-maintenance fast paths
+// into fallbacks. The deliberate mismatch test proves the detect -> shrink
+// -> repro-artifact pipeline actually fires when something diverges.
 //
 // A scaled variant runs under the `stress` ctest label
 // (tests/workload_stress_test.cc); this file stays fast enough for every
@@ -21,8 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/sweep.h"
 #include "workload/discrepancy_gen.h"
-#include "workload/sweep.h"
 
 namespace idl {
 namespace {
@@ -36,7 +36,7 @@ std::string Describe(const SweepReport& report) {
 }
 
 // Varied small configs: tenant counts, shapes, densities and mangling
-// rates all move with the seed so the 24-mode lattice sees a broad slice
+// rates all move with the seed so the 17-mode lattice sees a broad slice
 // of the style space.
 std::vector<DiscrepancyConfig> VariedConfigs(uint64_t first_seed,
                                              size_t count) {
@@ -62,8 +62,8 @@ TEST(WorkloadDifferential, StaticUniversesAcrossFullLattice) {
   std::cout << FormatSweepReport(report);
   EXPECT_TRUE(report.ok()) << Describe(report);
   EXPECT_EQ(report.universes, 50u);
-  EXPECT_EQ(report.modes, 24u);
-  EXPECT_GT(report.comparisons, 50u * 23u - 1);
+  EXPECT_EQ(report.modes, 17u);
+  EXPECT_GT(report.comparisons, 50u * 16u - 1);
   EXPECT_EQ(report.fallbacks, 0u) << "incremental maintenance regressed";
 }
 
@@ -95,10 +95,7 @@ TEST(WorkloadDifferential, InjectedMismatchShrinksToMinimalRepro) {
   options.artifact_dir = dir.string();
   // Two modes keep the shrinker's re-runs cheap; the reference plus the
   // mode the injection corrupts.
-  options.modes = {ModePoint{EvalStrategy::kNaive, 1,
-                             MaintenanceMode::kRematerialize, false, false,
-                             false},
-                   ModePoint{}};
+  options.modes = {ModePoint{.reference = true}, ModePoint{}};
 
   DiscrepancyConfig config;
   config.seed = 500;
@@ -147,10 +144,7 @@ TEST(WorkloadDifferential, InjectedMismatchShrinksToMinimalRepro) {
 // the scenario and reports no mismatch (guards the precondition contract).
 TEST(WorkloadDifferential, ShrinkerOnCleanScenarioReportsNothing) {
   SweepOptions options;
-  options.modes = {ModePoint{EvalStrategy::kNaive, 1,
-                             MaintenanceMode::kRematerialize, false, false,
-                             false},
-                   ModePoint{}};
+  options.modes = {ModePoint{.reference = true}, ModePoint{}};
   DiscrepancyConfig config;
   config.seed = 7;
   ShrinkResult shrunk = ShrinkMismatch(config, 0, options);
